@@ -18,9 +18,7 @@ use pak_logic::{Formula, ModelChecker};
 use pak_num::Rational;
 use pak_protocol::generator::{random_model, random_pps, RandomModelConfig};
 use pak_protocol::model::TableModel;
-use pak_protocol::unfold::{
-    unfold_with, unfold_with_options, UnfoldConfig, UnfoldOptions, Unfolder,
-};
+use pak_protocol::unfold::{unfold_with, UnfoldConfig, Unfolder};
 use pak_server::{PakServer, Query, ServerConfig};
 use pak_systems::attack::CoordinatedAttack;
 
@@ -52,33 +50,6 @@ fn benches(c: &mut Criterion) {
             BenchmarkId::new(format!("horizon_{horizon}_runs_{runs}"), horizon),
             &model,
             |b, m| b.iter(|| black_box(unfold_with(m, &UnfoldConfig::default()).unwrap())),
-        );
-    }
-    group.finish();
-
-    // The same workloads through forced parallel subtree unfolding (one
-    // worker per initial state, stitched back into the sequential order).
-    // On single-core machines this column measures pure threading
-    // overhead — the point is to track the crossover as trees and
-    // machines grow, not to always win.
-    let mut group = c.benchmark_group("scaling/unfold_threaded");
-    for horizon in [2u32, 3, 4, 5, 6] {
-        let model = random_model::<Rational>(11, &cfg(horizon));
-        let runs = unfold_with(&model, &UnfoldConfig::default())
-            .unwrap()
-            .num_runs();
-        let options = UnfoldOptions {
-            parallel_subtrees: Some(true),
-            ..UnfoldOptions::default()
-        };
-        group.bench_with_input(
-            BenchmarkId::new(format!("horizon_{horizon}_runs_{runs}"), horizon),
-            &model,
-            |b, m| {
-                b.iter(|| {
-                    black_box(unfold_with_options(m, &UnfoldConfig::default(), &options).unwrap())
-                })
-            },
         );
     }
     group.finish();

@@ -87,7 +87,7 @@ pub mod prelude {
         check_lemma43, check_local_state_independence, is_local_state_independent,
     };
     pub use crate::intern::{LocalPool, StatePool};
-    pub use crate::pps::{BuildOptions, Cell, Pps, PpsBuilder, PpsExtender};
+    pub use crate::pps::{Cell, Pps, PpsBuilder, PpsExtender};
     pub use crate::prob::Probability;
     pub use crate::state::{GlobalState, LocalState, SimpleState};
     pub use crate::theorems::{

@@ -40,9 +40,7 @@
 //! information-set cells are keyed by per-agent interned
 //! [`LocalId`]s (no `G::Local` clone or hash per
 //! node) with run-sets filled a word at a time from each node's
-//! contiguous run interval; and the per-agent cell passes run on separate
-//! threads when [`BuildOptions`] (or the machine) says so — always
-//! producing bit-identical output.
+//! contiguous run interval.
 
 use std::collections::{HashMap, HashSet};
 
@@ -285,27 +283,6 @@ pub struct Pps<G: GlobalState, P: Probability> {
     cells: Vec<Cell<G::Local>>,
     /// Optional human-readable action names for diagnostics.
     action_names: HashMap<ActionId, String>,
-}
-
-/// Options for [`PpsBuilder::build_with`]: how the validation/indexing
-/// pass executes. The produced [`Pps`] is bit-identical under every
-/// option combination — options trade wall-clock for resources only.
-#[derive(Debug, Clone, Default)]
-pub struct BuildOptions {
-    /// Whether to construct the per-agent information-set cells on one
-    /// thread per agent (`Some(true)`), strictly sequentially
-    /// (`Some(false)`), or to decide from the tree (`None`: threaded when
-    /// there are at least two agents and enough nodes —
-    /// [`PARALLEL_CELLS_MIN_NODES`] — for the per-agent
-    /// work to amortize the thread spawns; small trees pay more for two
-    /// `thread::scope` spawns than their whole cell pass costs). On a
-    /// machine with a single core ([`available_cores`]) every setting —
-    /// including `Some(true)` — builds sequentially: threads cannot
-    /// overlap there, so the spawns would be pure overhead. Agents'
-    /// cell sets are mutually independent and each agent's pass is
-    /// deterministic, so the threaded path is guaranteed to produce the
-    /// same cells, ids, and run-sets as the sequential one.
-    pub parallel_cells: Option<bool>,
 }
 
 impl<G: GlobalState, P: Probability> Pps<G, P> {
@@ -928,7 +905,6 @@ impl<G: GlobalState, P: Probability> Pps<G, P> {
         raw_nodes: NodeTable<P>,
         action_names: HashMap<ActionId, String>,
         expansion_of: &[Option<(StateId, Time)>],
-        options: &BuildOptions,
     ) -> Result<Self, PpsError> {
         // The builder's nodes are adopted as-is (no conversion pass);
         // children are gathered into the flat arena by counting sort
@@ -1073,59 +1049,20 @@ impl<G: GlobalState, P: Probability> Pps<G, P> {
         let n_runs = run_probs.len();
         run_ranges[0] = (0, n_runs as u32);
 
-        // Build local-state cells, one independent deterministic pass per
-        // agent (threaded or not — bit-identical either way). Workers read
-        // the node table's state/depth columns and the run intervals
-        // directly; no `P` crosses a thread boundary.
-        let parallel = available_cores() > 1
-            && options
-                .parallel_cells
-                .unwrap_or(n_agents > 1 && nodes.len() >= PARALLEL_CELLS_MIN_NODES);
-        let per_agent: Vec<AgentCells<G::Local>> = if parallel && n_agents > 1 {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..n_agents)
-                    .map(|a| {
-                        let (pool, states, depths, run_ranges) =
-                            (&pool, &nodes.states, &nodes.depths, &run_ranges);
-                        scope.spawn(move || {
-                            build_agent_cells(
-                                AgentId(a),
-                                pool,
-                                states,
-                                depths,
-                                run_ranges,
-                                n_runs,
-                                max_depth,
-                            )
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("cell construction worker panicked"))
-                    .collect()
-            })
-        } else {
-            (0..n_agents)
-                .map(|a| {
-                    build_agent_cells(
-                        AgentId(a),
-                        &pool,
-                        &nodes.states,
-                        &nodes.depths,
-                        &run_ranges,
-                        n_runs,
-                        max_depth,
-                    )
-                })
-                .collect()
-        };
-        // Merge in agent order, offsetting each agent's dense local cell
-        // ids by the cells already emitted: exactly the ids the old
-        // single-threaded interleaved loop assigned.
+        // Build local-state cells, one pass per agent, offsetting each
+        // agent's dense local cell ids by the cells already emitted.
         let mut cells: Vec<Cell<G::Local>> = Vec::new();
         let mut cell_of: Vec<Vec<CellId>> = Vec::with_capacity(n_agents as usize);
-        for mut agent_cells in per_agent {
+        for a in 0..n_agents {
+            let mut agent_cells = build_agent_cells(
+                AgentId(a),
+                &pool,
+                &nodes.states,
+                &nodes.depths,
+                &run_ranges,
+                n_runs,
+                max_depth,
+            );
             let offset = cells.len() as u32;
             cells.extend(agent_cells.cells);
             // Remap the agent-local dense ids in place — no reallocation.
@@ -1151,16 +1088,6 @@ impl<G: GlobalState, P: Probability> Pps<G, P> {
         })
     }
 }
-
-/// Node count below which the default build (`BuildOptions::parallel_cells
-/// = None`) keeps the cell passes sequential: spawning one scoped thread
-/// per agent costs tens of microseconds, which a small tree's whole cell
-/// pass undercuts (measured: a ~35 µs loss per build on an 800-node tree).
-/// Forcing `Some(true)` threads at every tree size, but never on a
-/// single-core machine (see [`BuildOptions::parallel_cells`]) — the
-/// differential harness uses the force to prove bit-identity at every
-/// size where threads exist at all.
-pub const PARALLEL_CELLS_MIN_NODES: usize = 1 << 15;
 
 /// Capacity cap, in table cells, below which a `rows × cols` key space
 /// gets a flat dense table; above it, a hash map. Deep chain-like models
@@ -1211,20 +1138,6 @@ impl KeyIndex {
             }
         }
     }
-}
-
-/// The machine's core count, probed once per process. A `static` inside
-/// the generic `from_parts` would be duplicated per monomorphization and
-/// re-probe `available_parallelism` (a tens-of-µs cgroup re-read on
-/// Linux) once per `(G, P)` pair — this free function carries the single
-/// process-wide cache. Public so every auto-threading heuristic in the
-/// workspace (the build pass here, parallel subtree unfolding in
-/// `pak-protocol`) consults the same probe.
-#[must_use]
-pub fn available_cores() -> usize {
-    static CORES: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *CORES
-        .get_or_init(|| std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get))
 }
 
 /// One agent's finished information sets: cells with agent-local dense ids
@@ -1507,178 +1420,6 @@ impl<G: GlobalState, P: Probability> PpsBuilder<G, P> {
         id
     }
 
-    /// Grafts the trees of `shards.len()` worker builders under the
-    /// matching `grafts` nodes, consuming the shards: each shard must hold
-    /// exactly one initial node (plus the phantom root), whose state
-    /// equals its graft's, and each graft must be an initial (depth-1)
-    /// node of this builder; every *descendant* of a shard's initial node
-    /// is appended, re-parented so the shard's initial node becomes its
-    /// graft.
-    ///
-    /// This is the stitching half of parallel subtree unfolding: each
-    /// worker unfolds one depth-1 subtree into a private shard (own
-    /// [`StatePool`], own node table), and the shards are interleaved back
-    /// *level by level* — for each depth, every shard's nodes of that
-    /// depth in shard order — which is exactly the order the sequential
-    /// level-order pass would have emitted them. Everything is remapped
-    /// deterministically:
-    ///
-    /// * shard states are re-interned **lazily, in merged emission
-    ///   order** — a shard state enters this builder's pool the first
-    ///   time a merged node carries it — so state ids come out exactly as
-    ///   the sequential pass would have assigned them;
-    /// * node ids are assigned in merged emission order, with parents
-    ///   inside a shard following along and parents at a shard's initial
-    ///   node becoming its graft;
-    /// * [`PpsBuilder::mark_children_shared`] marks transfer with their
-    ///   state ids remapped, including each shard initial node's mark,
-    ///   which lands on its graft.
-    ///
-    /// Edge probabilities and action labels move without copies or
-    /// re-validation (each shard's arenas are appended wholesale and its
-    /// nodes re-point into them by base offset); arena *layout* is not
-    /// part of the bit-identity contract — only node-level values are —
-    /// so wholesale appends are safe even though the sequential pass
-    /// interleaves its arenas differently. The distribution-sum
-    /// invariants are checked as usual by [`PpsBuilder::build`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lengths of `grafts` and `shards` differ, agent counts
-    /// differ, a graft is not an initial node of this builder, a shard
-    /// does not hold exactly one initial node, a shard's initial state
-    /// differs from its graft's, or a shard's nodes are not in level
-    /// order (non-decreasing depth — true of every unfolder shard).
-    pub fn absorb_subtrees(&mut self, grafts: &[NodeId], shards: Vec<PpsBuilder<G, P>>) {
-        assert_eq!(
-            grafts.len(),
-            shards.len(),
-            "absorb_subtrees: one graft per shard"
-        );
-        let mut parts: Vec<ShardCursor<G>> = Vec::with_capacity(shards.len());
-        for (&graft, shard) in grafts.iter().zip(shards) {
-            assert_eq!(
-                self.n_agents, shard.n_agents,
-                "absorb_subtrees: agent counts differ"
-            );
-            assert!(
-                graft != NodeId::ROOT && graft.index() < self.nodes.len(),
-                "absorb_subtrees: unknown graft node {graft}"
-            );
-            assert_eq!(
-                self.nodes.depths[graft.index()],
-                1,
-                "absorb_subtrees: graft {graft} is not an initial node"
-            );
-            assert!(
-                shard.nodes.len() >= 2 && shard.nodes.parents[1] == NodeId::ROOT,
-                "absorb_subtrees: shard must hold exactly one initial node"
-            );
-            assert!(
-                shard.nodes.parents[2..].iter().all(|&p| p != NodeId::ROOT),
-                "absorb_subtrees: shard must hold exactly one initial node"
-            );
-            let shard_initial_sid = shard.nodes.states[1].expect("initial node has a state");
-            let graft_sid = self.nodes.states[graft.index()].expect("graft is not the root");
-
-            let base_prob = self.nodes.probs.len() as u32;
-            let base_action = self.nodes.action_data.len() as u32;
-            let NodeTable {
-                parents,
-                states,
-                depths,
-                edge_prob_ids,
-                probs,
-                action_ranges,
-                action_data,
-            } = shard.nodes;
-            // Arenas move wholesale (values, not clones); shard ids
-            // re-point into them by base offset. Shared-id structure —
-            // replayed nodes pointing at one entry — survives the move.
-            self.nodes.probs.extend(probs);
-            self.nodes.action_data.extend(action_data);
-            // States leave the shard pool by value but enter this
-            // builder's pool lazily, on each id's first use in merged
-            // emission order (the sequential interning order).
-            let state_vals: Vec<Option<G>> = shard.pool.into_states().map(Some).collect();
-            let mut part = ShardCursor {
-                parents,
-                states,
-                depths,
-                edge_prob_ids,
-                action_ranges,
-                marks: shard.expansion_of,
-                state_vals,
-                state_remap: vec![INDEX_NONE; 0],
-                node_remap: vec![0; 0],
-                base_prob,
-                base_action,
-                cursor: 2,
-            };
-            part.state_remap = vec![INDEX_NONE; part.state_vals.len()];
-            part.node_remap = vec![0; part.parents.len()];
-            assert_eq!(
-                part.state_vals[shard_initial_sid.index()].as_ref(),
-                Some(&self.pool[graft_sid]),
-                "absorb_subtrees: shard initial state differs from the graft node's"
-            );
-            // The shard's initial state already lives in this builder's
-            // pool as the graft's state — pre-seed the remap so lazy
-            // interning never re-adds it.
-            part.state_remap[shard_initial_sid.index()] = graft_sid.0;
-            part.node_remap[1] = graft.0;
-            if let Some((sid, time)) = part.marks[1] {
-                self.expansion_of[graft.index()] =
-                    Some((part.remap_state(sid, &mut self.pool), time));
-            }
-            parts.push(part);
-        }
-
-        // Interleave: for each depth, each shard's contiguous segment of
-        // that depth, in shard order. Per-shard depth columns are
-        // non-decreasing (level-order shards), so a cursor per shard
-        // walks each segment exactly once; the loop ends at the first
-        // depth where no shard emits (levels are contiguous per shard,
-        // so nothing can remain beyond it).
-        let mut depth = 2u32;
-        loop {
-            let mut emitted = false;
-            for part in &mut parts {
-                while part.cursor < part.parents.len() && part.depths[part.cursor] == depth {
-                    let j = part.cursor;
-                    part.cursor += 1;
-                    emitted = true;
-                    let parent = NodeId(part.node_remap[part.parents[j].index()]);
-                    let sid_local = part.states[j].expect("non-root node has a state");
-                    let sid = part.remap_state(sid_local, &mut self.pool);
-                    let (lo, hi) = part.action_ranges[j];
-                    let id = self.nodes.push_shared(
-                        parent,
-                        sid,
-                        depth,
-                        part.base_prob + part.edge_prob_ids[j],
-                        (lo + part.base_action, hi + part.base_action),
-                    );
-                    part.node_remap[j] = id.0;
-                    let mark = part.marks[j];
-                    self.expansion_of
-                        .push(mark.map(|(s, t)| (part.remap_state(s, &mut self.pool), t)));
-                }
-            }
-            if !emitted {
-                break;
-            }
-            depth += 1;
-        }
-        for part in &parts {
-            assert_eq!(
-                part.cursor,
-                part.parents.len(),
-                "absorb_subtrees: shard nodes must be in level order"
-            );
-        }
-    }
-
     /// Declares that the children of `node` replay a memoized expansion
     /// identified by `(state, time)` — the protocol unfolder calls this
     /// after emitting a node's successors from its `(state, time)` memo.
@@ -1738,8 +1479,7 @@ impl<G: GlobalState, P: Probability> PpsBuilder<G, P> {
         Ok(id)
     }
 
-    /// Validates the tree and produces the indexed [`Pps`] with default
-    /// [`BuildOptions`].
+    /// Validates the tree and produces the indexed [`Pps`].
     ///
     /// # Errors
     ///
@@ -1747,62 +1487,13 @@ impl<G: GlobalState, P: Probability> PpsBuilder<G, P> {
     /// [`PpsError::BadDistribution`] if any internal node's outgoing
     /// probabilities do not sum to one.
     pub fn build(self) -> Result<Pps<G, P>, PpsError> {
-        self.build_with(&BuildOptions::default())
-    }
-
-    /// Validates the tree and produces the indexed [`Pps`], with explicit
-    /// control over how the build pass executes (see [`BuildOptions`]).
-    /// The result is bit-identical under every option combination.
-    ///
-    /// # Errors
-    ///
-    /// As [`PpsBuilder::build`].
-    pub fn build_with(self, options: &BuildOptions) -> Result<Pps<G, P>, PpsError> {
         Pps::from_parts(
             self.n_agents,
             self.pool,
             self.nodes,
             self.action_names,
             &self.expansion_of,
-            options,
         )
-    }
-}
-
-/// One shard's in-flight state during [`PpsBuilder::absorb_subtrees`]:
-/// its node columns, its lazily consumed state values, and the id remaps
-/// built up as merged nodes are emitted.
-struct ShardCursor<G> {
-    parents: Vec<NodeId>,
-    states: Vec<Option<StateId>>,
-    depths: Vec<u32>,
-    edge_prob_ids: Vec<u32>,
-    action_ranges: Vec<(u32, u32)>,
-    marks: Vec<Option<(StateId, Time)>>,
-    /// Shard states by value, taken out on first use.
-    state_vals: Vec<Option<G>>,
-    /// Shard state id → merged state id; `INDEX_NONE` = not yet interned.
-    state_remap: Vec<u32>,
-    /// Shard node id → merged node id (filled as nodes are emitted).
-    node_remap: Vec<u32>,
-    base_prob: u32,
-    base_action: u32,
-    /// Next shard node to emit (0 is the root, 1 the initial node).
-    cursor: usize,
-}
-
-impl<G: GlobalState> ShardCursor<G> {
-    /// The merged id of a shard state, interning its value on first use —
-    /// merged emission order *is* the sequential interning order.
-    fn remap_state(&mut self, local: StateId, pool: &mut StatePool<G>) -> StateId {
-        let slot = &mut self.state_remap[local.index()];
-        if *slot == INDEX_NONE {
-            let state = self.state_vals[local.index()]
-                .take()
-                .expect("each shard state is interned exactly once");
-            *slot = pool.intern(state).0;
-        }
-        StateId(*slot)
     }
 }
 

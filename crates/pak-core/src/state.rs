@@ -46,11 +46,10 @@ use crate::ids::{AgentId, Time};
 /// assert_eq!(g.local(AgentId(0)), 7);
 /// assert_eq!(g.local(AgentId(1)), 9);
 /// ```
-/// States must additionally be `Send + Sync`: the build pass constructs
-/// each agent's information-set cells on its own thread, sharing the
-/// interned [`StatePool`](crate::intern::StatePool) read-only across
-/// workers and sending the finished cells back. Every state type is plain
-/// data, so the bounds are satisfied automatically.
+/// States must additionally be `Send + Sync` so a finished system can be
+/// shared across threads (the query engine's tree cache hands one
+/// [`Pps`](crate::pps::Pps) to every worker of a serving pool). Every
+/// state type is plain data, so the bounds are satisfied automatically.
 pub trait GlobalState: Clone + Eq + Hash + fmt::Debug + Send + Sync + 'static {
     /// The agent-local component of the state (without the time, which the
     /// library adds).

@@ -3,7 +3,7 @@
 //!
 //! The mapping is direct, which is the point — a compiled protocol
 //! immediately inherits everything the table machinery already has:
-//! indexed lookups, the allocation-free `_into` fast paths, incremental
+//! indexed lookups, allocation-free appending queries, incremental
 //! [`extend_horizon`](pak_protocol::unfold::Unfolder::extend_horizon)
 //! growth, and the batched `pak-engine` evaluator.
 //!
@@ -373,16 +373,19 @@ mod tests {
         // Guard resolution on the compiled model: `go` hits the guarded
         // rule, skip falls to the catch-all.
         let st = SimpleState::new(0, vec![0]);
-        let hit = c.model().transition(&st, &[Some(ActionId(7))], 0);
+        let mut hit = Vec::new();
+        c.model().transition(&st, &[Some(ActionId(7))], 0, &mut hit);
         assert_eq!(hit, vec![(SimpleState::new(1, vec![1]), Rational::one())]);
-        let miss = c.model().transition(&st, &[None], 0);
+        let mut miss = Vec::new();
+        c.model().transition(&st, &[None], 0, &mut miss);
         assert_eq!(miss.len(), 2);
         assert_eq!(miss[0].1, Rational::from_ratio(2, 3));
 
         // The adversary variant overrides the idle rules entirely.
         let (name, freeze) = c.adversaries().next().map(|(n, m)| (n, m.clone())).unwrap();
         assert_eq!(name, "freeze");
-        let frozen = freeze.transition(&st, &[Some(ActionId(7))], 0);
+        let mut frozen = Vec::new();
+        freeze.transition(&st, &[Some(ActionId(7))], 0, &mut frozen);
         assert_eq!(
             frozen,
             vec![(SimpleState::new(2, vec![0]), Rational::one())]

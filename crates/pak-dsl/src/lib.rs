@@ -15,7 +15,7 @@
 //! [`compile()`], each stage reporting spanned, actionable diagnostics
 //! ([`DslError`]). Compiled protocols are ordinary
 //! [`TableModel`](pak_protocol::model::TableModel)s, so they inherit the
-//! indexed lookups, allocation-free `_into` paths, incremental
+//! indexed lookups, allocation-free appending queries, incremental
 //! [`extend_horizon`](pak_protocol::unfold::Unfolder::extend_horizon)
 //! growth, and the batched `pak-engine` evaluator unchanged. The
 //! [`fuzz`] module generates random valid programs for the differential

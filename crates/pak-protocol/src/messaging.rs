@@ -93,8 +93,8 @@ impl AgentMove {
 /// like Example 1's `FS`.
 pub trait MessageProtocol<P: Probability> {
     /// An agent's local data (the library adds the time for synchrony).
-    /// `Send + Sync` feeds the [`GlobalState`] bounds, which the threaded
-    /// pps build pass relies on; local data is always plain values.
+    /// `Send + Sync` feeds the [`GlobalState`] bounds; local data is always
+    /// plain values.
     type Local: Clone + Eq + Hash + Debug + Send + Sync + 'static;
 
     /// Number of agents.
@@ -107,29 +107,11 @@ pub trait MessageProtocol<P: Probability> {
     /// `horizon` appear in runs).
     fn horizon(&self) -> Time;
 
-    /// Agent `agent`'s mixed move at its local state — may perform an
-    /// action and/or send messages.
-    fn step(&self, agent: AgentId, local: &Self::Local, time: Time) -> Vec<(AgentMove, P)>;
-
-    /// Appends agent `agent`'s mixed move at `(local, time)` to `out` —
-    /// the scratch-buffer sibling of [`MessageProtocol::step`], driven by
-    /// [`LossyMessagingModel`]'s
-    /// [`moves_into`](ProtocolModel::moves_into) on the unfolding hot
-    /// path.
-    ///
-    /// The default delegates to [`MessageProtocol::step`]; native
-    /// implementations must append exactly the entries `step` would
-    /// return, in the same order, with bit-equal probabilities, without
-    /// reading or modifying `out`'s existing contents.
-    fn step_into(
-        &self,
-        agent: AgentId,
-        local: &Self::Local,
-        time: Time,
-        out: &mut Vec<(AgentMove, P)>,
-    ) {
-        out.extend(self.step(agent, local, time));
-    }
+    /// Appends agent `agent`'s mixed move at its local state to `out` — it
+    /// may perform an action and/or send messages. Same append/pure/
+    /// bit-equal contract as [`ProtocolModel::moves`], which
+    /// [`LossyMessagingModel`] forwards here.
+    fn step(&self, agent: AgentId, local: &Self::Local, time: Time, out: &mut Vec<(AgentMove, P)>);
 
     /// Deterministic local-state update at the end of the round: the agent
     /// sees its own move and the messages actually delivered to it (sorted
@@ -187,11 +169,11 @@ impl<L: Clone + Eq + Hash + Debug + Send + Sync + 'static> GlobalState for MsgGl
 ///         vec![(vec![0, 0], Rational::one())]
 ///     }
 ///     fn horizon(&self) -> u32 { 1 }
-///     fn step(&self, agent: AgentId, _l: &u64, _t: u32) -> Vec<(AgentMove, Rational)> {
+///     fn step(&self, agent: AgentId, _l: &u64, _t: u32, out: &mut Vec<(AgentMove, Rational)>) {
 ///         if agent == AgentId(0) {
-///             vec![(AgentMove::send(AgentId(1), 7), Rational::one())]
+///             out.push((AgentMove::send(AgentId(1), 7), Rational::one()));
 ///         } else {
-///             vec![(AgentMove::skip(), Rational::one())]
+///             out.push((AgentMove::skip(), Rational::one()));
 ///         }
 ///     }
 ///     fn receive(&self, _a: AgentId, l: &u64, _mv: &AgentMove, inbox: &[Message], _t: u32) -> u64 {
@@ -232,45 +214,6 @@ impl<MP, P: Probability> LossyMessagingModel<MP, P> {
     pub fn loss(&self) -> &P {
         &self.loss
     }
-
-    /// Enumerates delivery outcomes for `messages`: each returned entry is
-    /// `(delivered messages, probability)`. Loss probabilities 0 and 1
-    /// short-circuit to a single outcome.
-    fn delivery_outcomes(&self, messages: &[Message]) -> Vec<(Vec<Message>, P)> {
-        if messages.is_empty() || self.loss.is_zero() {
-            return vec![(messages.to_vec(), P::one())];
-        }
-        if self.loss.is_one() {
-            return vec![(Vec::new(), P::one())];
-        }
-        let deliver = self.loss.one_minus();
-        let n = messages.len();
-        assert!(
-            n < 24,
-            "too many messages in one round for exact loss enumeration"
-        );
-        let mut out = Vec::with_capacity(1 << n);
-        for mask in 0u32..(1 << n) {
-            let mut delivered = Vec::new();
-            // Seed the accumulator from the first factor instead of
-            // multiplying into `P::one()`; saves a mul per mask.
-            let mut p: Option<P> = None;
-            for (i, msg) in messages.iter().enumerate() {
-                let f = if (mask >> i) & 1 == 1 {
-                    delivered.push(*msg);
-                    &deliver
-                } else {
-                    &self.loss
-                };
-                p = Some(match p {
-                    None => f.clone(),
-                    Some(q) => q.mul(f),
-                });
-            }
-            out.push((delivered, p.unwrap_or_else(P::one)));
-        }
-        out
-    }
 }
 
 impl<MP, P> ProtocolModel<P> for LossyMessagingModel<MP, P>
@@ -297,8 +240,8 @@ where
         time >= self.protocol.horizon()
     }
 
-    fn moves(&self, agent: AgentId, local: &MP::Local, time: Time) -> Vec<(AgentMove, P)> {
-        self.protocol.step(agent, local, time)
+    fn moves(&self, agent: AgentId, local: &MP::Local, time: Time, out: &mut Vec<(AgentMove, P)>) {
+        self.protocol.step(agent, local, time, out);
     }
 
     fn action_of(&self, mv: &AgentMove) -> Option<ActionId> {
@@ -310,62 +253,12 @@ where
         state: &Self::Global,
         moves: &[AgentMove],
         time: Time,
-    ) -> Vec<(Self::Global, P)> {
-        // Collect every message sent this round, tagged with its sender.
-        let mut sent: Vec<Message> = Vec::new();
-        for (a, mv) in moves.iter().enumerate() {
-            for &(to, payload) in &mv.sends {
-                sent.push(Message {
-                    from: AgentId(a as u32),
-                    to,
-                    payload,
-                });
-            }
-        }
-
-        self.delivery_outcomes(&sent)
-            .into_iter()
-            .map(|(delivered, p)| {
-                let mut locals = Vec::with_capacity(state.locals.len());
-                for (a, local) in state.locals.iter().enumerate() {
-                    let agent = AgentId(a as u32);
-                    let mut inbox: Vec<Message> = delivered
-                        .iter()
-                        .copied()
-                        .filter(|m| m.to == agent)
-                        .collect();
-                    inbox.sort();
-                    locals.push(self.protocol.receive(agent, local, &moves[a], &inbox, time));
-                }
-                (MsgGlobal { locals }, p)
-            })
-            .collect()
-    }
-
-    fn moves_into(
-        &self,
-        agent: AgentId,
-        local: &MP::Local,
-        time: Time,
-        out: &mut Vec<(AgentMove, P)>,
-    ) {
-        self.protocol.step_into(agent, local, time, out);
-    }
-
-    fn transition_into(
-        &self,
-        state: &Self::Global,
-        moves: &[AgentMove],
-        time: Time,
         out: &mut Vec<(Self::Global, P)>,
     ) {
-        // Same enumeration as `transition`/`delivery_outcomes` — loss
-        // patterns in mask order, mask bit `i` set meaning message `i` is
-        // delivered — but successor states are written straight into the
-        // caller's buffer and the per-outcome message buffers are reused
-        // across masks instead of allocated per outcome. The smoke suite
-        // (`tests/systems_unfold_smoke.rs`) proves the two paths emit
-        // bit-identical distributions on every `pak-systems` protocol.
+        // Every loss pattern in mask order, mask bit `i` set meaning
+        // message `i` is delivered. Loss probabilities 0 and 1
+        // short-circuit to a single outcome; the per-outcome message
+        // buffers are reused across masks.
         let mut sent: Vec<Message> = Vec::new();
         for (a, mv) in moves.iter().enumerate() {
             for &(to, payload) in &mv.sends {
@@ -460,15 +353,21 @@ mod tests {
             1
         }
 
-        fn step(&self, agent: AgentId, _local: &u64, _time: u32) -> Vec<(AgentMove, Rational)> {
+        fn step(
+            &self,
+            agent: AgentId,
+            _local: &u64,
+            _time: u32,
+            out: &mut Vec<(AgentMove, Rational)>,
+        ) {
             if agent == AgentId(0) {
                 let mut mv = AgentMove::skip();
                 for _ in 0..self.copies {
                     mv = mv.and_send(AgentId(1), 42);
                 }
-                vec![(mv, Rational::one())]
+                out.push((mv, Rational::one()));
             } else {
-                vec![(AgentMove::skip(), Rational::one())]
+                out.push((AgentMove::skip(), Rational::one()));
             }
         }
 
@@ -538,26 +437,15 @@ mod tests {
     }
 
     #[test]
-    fn delivery_outcomes_probabilities_sum_to_one() {
+    fn transition_probabilities_sum_to_one() {
+        // Three messages in one round: one outcome per loss pattern.
         let model = LossyMessagingModel::new(MultiSend { copies: 3 }, r(1, 4));
-        let msgs = vec![
-            Message {
-                from: AgentId(0),
-                to: AgentId(1),
-                payload: 1,
-            },
-            Message {
-                from: AgentId(0),
-                to: AgentId(1),
-                payload: 2,
-            },
-            Message {
-                from: AgentId(0),
-                to: AgentId(1),
-                payload: 3,
-            },
-        ];
-        let outs = model.delivery_outcomes(&msgs);
+        let state = MsgGlobal { locals: vec![0, 0] };
+        let mut sends = Vec::new();
+        model.moves(AgentId(0), &0, 0, &mut sends);
+        let joint = [sends[0].0.clone(), AgentMove::skip()];
+        let mut outs = Vec::new();
+        model.transition(&state, &joint, 0, &mut outs);
         assert_eq!(outs.len(), 8);
         let total: Rational = outs.iter().map(|(_, p)| p.clone()).sum();
         assert!(total.is_one());

@@ -16,35 +16,29 @@
 //!   eventually return `true` on every path so the unfolded system is a
 //!   finite pps.
 //!
-//! # The scratch-buffer (`_into`) API
+//! # The query contract
 //!
-//! [`ProtocolModel::moves`] and [`ProtocolModel::transition`] return owned
-//! `Vec`s — convenient to implement, but the unfolder and simulator call
-//! them in a tight loop, and a fresh allocation per query was the last
-//! per-expansion allocation of the pipeline. The hot paths therefore drive
-//! the appending siblings [`ProtocolModel::moves_into`] and
-//! [`ProtocolModel::transition_into`], which write into a caller-owned
-//! scratch buffer that is cleared and reused across queries. Both have
-//! default implementations delegating to the `Vec`-returning methods, so a
-//! model only implementing the owned API keeps working unchanged; models
-//! on hot paths (every model in this workspace) implement the `_into`
-//! variants natively and allocate nothing per query.
+//! [`ProtocolModel::moves`] and [`ProtocolModel::transition`] *append*
+//! their distribution to a caller-owned buffer instead of returning an
+//! owned `Vec`: the unfolder and the simulator query a model in a tight
+//! loop, clearing and reusing one scratch buffer per query kind, so a
+//! model allocates nothing per query. Every implementation is held to one
+//! contract, checked on every model of the workspace by the differential
+//! harness (`tests/unfold_differential.rs` against a reference unfolder,
+//! `tests/systems_unfold_smoke.rs` against hand-built trees):
 //!
-//! The contract on a native `_into` implementation is strict — the
-//! differential harness (`tests/unfold_differential.rs` and
-//! `tests/systems_unfold_smoke.rs`) holds every model to it:
-//!
-//! * it must **append** to `out` exactly the entries the `Vec`-returning
-//!   method would return, in the same order, with bit-equal probabilities
-//!   (callers clear the buffer; implementations never read or truncate it);
-//! * it must be **pure**: a function of its arguments only, so that the
-//!   unfolder's `(state, time)` expansion memo and the parallel subtree
-//!   unfolding of [`mod@crate::unfold`] may call it once and replay the
-//!   result anywhere. Purity outlives a single unfold: a retained
-//!   [`Unfolder`](crate::unfold::Unfolder) keeps the memo alive across
-//!   [`extend_horizon`](crate::unfold::Unfolder::extend_horizon) calls,
-//!   so an expansion computed while building horizon `h` may be replayed
-//!   verbatim while growing to `h + 1` and beyond — a model whose answers
+//! * **append** — push the distribution onto `out`; never read, reorder
+//!   or truncate the entries the caller left there;
+//! * **pure** — the appended entries are a function of the arguments
+//!   only, so that the unfolder's `(state, time)` expansion memo may call
+//!   a method once and replay the result anywhere. Purity outlives a
+//!   single unfold: a retained [`Unfolder`](crate::unfold::Unfolder)
+//!   keeps the memo alive across
+//!   [`extend_horizon`](crate::unfold::Unfolder::extend_horizon) calls, so
+//!   an expansion computed while building horizon `h` may be replayed
+//!   verbatim while growing to `h + 1` and beyond;
+//! * **bit-equal** — calls with equal arguments append the same entries
+//!   in the same order with bit-equal probabilities. A model whose answers
 //!   drifted between calls would silently diverge from its own earlier
 //!   tree.
 //!
@@ -97,68 +91,36 @@ pub trait ProtocolModel<P: Probability> {
     /// Must eventually hold on every path.
     fn is_terminal(&self, state: &Self::Global, time: Time) -> bool;
 
-    /// Agent `agent`'s mixed move distribution at its local state `local`
-    /// and time `time` — the paper's `P_i(ℓ_i) ∈ Δ(Act_i)`.
+    /// Appends agent `agent`'s mixed move distribution at its local state
+    /// `local` and time `time` — the paper's `P_i(ℓ_i) ∈ Δ(Act_i)` — to
+    /// `out`.
     ///
-    /// The returned distribution must be non-empty with probabilities
-    /// summing to one. A singleton distribution is a deterministic step.
+    /// The appended distribution must be non-empty with probabilities
+    /// summing to one; a single entry is a deterministic step. See the
+    /// module docs for the append/pure/bit-equal contract.
     fn moves(
         &self,
         agent: AgentId,
         local: &<Self::Global as GlobalState>::Local,
         time: Time,
-    ) -> Vec<(Self::Move, P)>;
+        out: &mut Vec<(Self::Move, P)>,
+    );
 
     /// The action recorded on the run history for a move (`None` when the
     /// move is a skip that should not appear as a `does_i` event).
     fn action_of(&self, mv: &Self::Move) -> Option<ActionId>;
 
-    /// The environment's resolution of the joint moves at `state`: a
-    /// distribution over successor global states (non-empty, summing to
-    /// one). `moves[i]` is agent `i`'s chosen move.
+    /// Appends the environment's resolution of the joint moves at `state`
+    /// — a distribution over successor global states (non-empty, summing
+    /// to one) — to `out`. `moves[i]` is agent `i`'s chosen move. Same
+    /// contract as [`ProtocolModel::moves`].
     fn transition(
         &self,
         state: &Self::Global,
         moves: &[Self::Move],
         time: Time,
-    ) -> Vec<(Self::Global, P)>;
-
-    /// Appends agent `agent`'s mixed move distribution at `(local, time)`
-    /// to `out` — the allocation-free sibling of [`ProtocolModel::moves`]
-    /// driven by the unfolder and simulator through reusable scratch
-    /// buffers.
-    ///
-    /// The default delegates to [`ProtocolModel::moves`]; native
-    /// implementations must append exactly the entries `moves` would
-    /// return, in the same order, with bit-equal probabilities, and must
-    /// not read or modify `out`'s existing contents (see the module docs
-    /// for the full contract).
-    fn moves_into(
-        &self,
-        agent: AgentId,
-        local: &<Self::Global as GlobalState>::Local,
-        time: Time,
-        out: &mut Vec<(Self::Move, P)>,
-    ) {
-        out.extend(self.moves(agent, local, time));
-    }
-
-    /// Appends the environment's resolution of `moves` at `(state, time)`
-    /// to `out` — the allocation-free sibling of
-    /// [`ProtocolModel::transition`].
-    ///
-    /// Same contract as [`ProtocolModel::moves_into`]: append exactly what
-    /// `transition` would return, in order, bit-equal, leaving `out`'s
-    /// existing contents untouched.
-    fn transition_into(
-        &self,
-        state: &Self::Global,
-        moves: &[Self::Move],
-        time: Time,
         out: &mut Vec<(Self::Global, P)>,
-    ) {
-        out.extend(self.transition(state, moves, time));
-    }
+    );
 }
 
 /// A minimal single-agent model used in documentation and tests: the
@@ -222,23 +184,15 @@ impl<P: Probability> ProtocolModel<P> for CoinModel {
         time >= 1
     }
 
-    fn moves(&self, _agent: AgentId, _local: &u8, _time: Time) -> Vec<((), P)> {
-        vec![((), P::one())]
+    fn moves(&self, _agent: AgentId, _local: &u8, _time: Time, out: &mut Vec<((), P)>) {
+        out.push(((), P::one()));
     }
 
     fn action_of(&self, _mv: &()) -> Option<ActionId> {
         Some(COIN_ACT)
     }
 
-    fn transition(&self, state: &CoinState, _moves: &[()], _time: Time) -> Vec<(CoinState, P)> {
-        vec![(state.clone(), P::one())]
-    }
-
-    fn moves_into(&self, _agent: AgentId, _local: &u8, _time: Time, out: &mut Vec<((), P)>) {
-        out.push(((), P::one()));
-    }
-
-    fn transition_into(
+    fn transition(
         &self,
         state: &CoinState,
         _moves: &[()],
@@ -567,13 +521,7 @@ impl<P: Probability> ProtocolModel<P> for TableModel<P> {
         time >= self.horizon
     }
 
-    fn moves(&self, agent: AgentId, local: &u64, time: Time) -> Vec<(Self::Move, P)> {
-        self.index()
-            .move_entry(agent.0, *local, time)
-            .map_or_else(|| vec![(None, P::one())], |i| self.moves[i].1.clone())
-    }
-
-    fn moves_into(&self, agent: AgentId, local: &u64, time: Time, out: &mut Vec<(Self::Move, P)>) {
+    fn moves(&self, agent: AgentId, local: &u64, time: Time, out: &mut Vec<(Self::Move, P)>) {
         // The indexed position is read in place: entries are cloned into
         // the caller's buffer one by one, but the row `Vec` itself is
         // never cloned and nothing is allocated on the absent-key path.
@@ -588,17 +536,6 @@ impl<P: Probability> ProtocolModel<P> for TableModel<P> {
     }
 
     fn transition(
-        &self,
-        state: &Self::Global,
-        moves: &[Self::Move],
-        time: Time,
-    ) -> Vec<(Self::Global, P)> {
-        let mut out = Vec::new();
-        self.transition_into(state, moves, time, &mut out);
-        out
-    }
-
-    fn transition_into(
         &self,
         state: &Self::Global,
         moves: &[Self::Move],
@@ -708,84 +645,6 @@ impl<P: Probability> ModelFingerprint for TableModel<P> {
     }
 }
 
-impl<M: ModelFingerprint> ModelFingerprint for VecApiModel<M> {
-    fn fingerprint(&self) -> Fingerprint {
-        self.0.fingerprint()
-    }
-}
-
-/// Adapter pinning a model to its `Vec`-returning API: every
-/// scratch-buffer query on the wrapper goes through the *default*
-/// [`ProtocolModel::moves_into`] / [`ProtocolModel::transition_into`]
-/// implementations, never the wrapped model's native ones.
-///
-/// This exists for the differential test layer
-/// (`tests/unfold_differential.rs`, `tests/systems_unfold_smoke.rs`):
-/// unfolding `m` and `VecApiModel(m)` must produce identical systems —
-/// bit-equal run probabilities, identical cells — which is what proves a
-/// native `_into` implementation honours the contract in the module docs.
-///
-/// # Examples
-///
-/// ```
-/// use pak_protocol::model::{CoinModel, ProtocolModel, VecApiModel};
-/// use pak_protocol::unfold::unfold;
-/// use pak_num::Rational;
-///
-/// let m = CoinModel { heads_num: 1, heads_den: 2 };
-/// let native = unfold::<_, Rational>(&m).unwrap();
-/// let defaulted = unfold::<_, Rational>(&VecApiModel(m)).unwrap();
-/// assert_eq!(native.num_runs(), defaulted.num_runs());
-/// ```
-#[derive(Debug, Clone)]
-pub struct VecApiModel<M>(pub M);
-
-impl<M, P> ProtocolModel<P> for VecApiModel<M>
-where
-    M: ProtocolModel<P>,
-    P: Probability,
-{
-    type Global = M::Global;
-    type Move = M::Move;
-
-    fn n_agents(&self) -> u32 {
-        self.0.n_agents()
-    }
-
-    fn initial_states(&self) -> Vec<(Self::Global, P)> {
-        self.0.initial_states()
-    }
-
-    fn is_terminal(&self, state: &Self::Global, time: Time) -> bool {
-        self.0.is_terminal(state, time)
-    }
-
-    fn moves(
-        &self,
-        agent: AgentId,
-        local: &<Self::Global as GlobalState>::Local,
-        time: Time,
-    ) -> Vec<(Self::Move, P)> {
-        self.0.moves(agent, local, time)
-    }
-
-    fn action_of(&self, mv: &Self::Move) -> Option<ActionId> {
-        self.0.action_of(mv)
-    }
-
-    fn transition(
-        &self,
-        state: &Self::Global,
-        moves: &[Self::Move],
-        time: Time,
-    ) -> Vec<(Self::Global, P)> {
-        self.0.transition(state, moves, time)
-    }
-
-    // `moves_into`/`transition_into` deliberately NOT forwarded: the
-    // defaults route through the `Vec` methods above, which is the point.
-}
-
 /// Validates that a move or transition distribution is well formed (used by
 /// the unfolder and simulator before consuming model output).
 ///
@@ -823,7 +682,20 @@ pub fn validate_distribution<T, P: Probability>(dist: &[(T, P)]) -> Result<(), S
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pak_core::state::SimpleState;
     use pak_num::Rational;
+
+    /// The successor distribution of `m` at `(state, moves, time)`.
+    fn transition_of(
+        m: &TableModel<Rational>,
+        state: &SimpleState,
+        moves: &[Option<ActionId>],
+        time: Time,
+    ) -> Vec<(SimpleState, Rational)> {
+        let mut out = Vec::new();
+        m.transition(state, moves, time, &mut out);
+        out
+    }
 
     #[test]
     fn coin_model_shape() {
@@ -837,7 +709,8 @@ mod tests {
         assert!(total.is_one());
         assert!(ProtocolModel::<Rational>::is_terminal(&m, &init[0].0, 1));
         assert!(!ProtocolModel::<Rational>::is_terminal(&m, &init[0].0, 0));
-        let mv: Vec<((), Rational)> = m.moves(AgentId(0), &0, 0);
+        let mut mv: Vec<((), Rational)> = Vec::new();
+        m.moves(AgentId(0), &0, 0, &mut mv);
         assert_eq!(mv.len(), 1);
         assert_eq!(
             ProtocolModel::<Rational>::action_of(&m, &()),
@@ -879,11 +752,12 @@ mod tests {
             ..TableModel::default()
         };
         // Default move is skip; default transition copies the state.
-        let mv = ProtocolModel::<Rational>::moves(&m, AgentId(0), &0, 0);
+        let mut mv = Vec::new();
+        ProtocolModel::<Rational>::moves(&m, AgentId(0), &0, 0, &mut mv);
         assert_eq!(mv.len(), 1);
         assert_eq!(m.action_of(&mv[0].0), None);
-        let st = pak_core::state::SimpleState::new(0, vec![0]);
-        let tr = m.transition(&st, &[None], 0);
+        let st = SimpleState::new(0, vec![0]);
+        let tr = transition_of(&m, &st, &[None], 0);
         assert_eq!(tr.len(), 1);
         assert_eq!(tr[0].0, st);
     }
@@ -904,7 +778,7 @@ mod tests {
     /// to the coarse `(env, time)` table, then to copy-unchanged.
     #[test]
     fn state_transitions_resolve_in_declaration_order() {
-        let st = |env, locals: &[u64]| pak_core::state::SimpleState::new(env, locals.to_vec());
+        let st = |env, locals: &[u64]| SimpleState::new(env, locals.to_vec());
         let m: TableModel<Rational> = TableModel {
             n_agents: 2,
             initial: vec![(0, vec![0, 0], Rational::one())],
@@ -929,21 +803,27 @@ mod tests {
             ..TableModel::default()
         };
         // Guard matches → first rule fires.
-        let tr = m.transition(&st(0, &[0, 0]), &[Some(ActionId(1)), None], 0);
+        let tr = transition_of(&m, &st(0, &[0, 0]), &[Some(ActionId(1)), None], 0);
         assert_eq!(tr, vec![(st(1, &[1, 0]), Rational::one())]);
         // Guard fails → unconditional fallback rule fires.
-        let tr = m.transition(&st(0, &[0, 0]), &[None, None], 0);
+        let tr = transition_of(&m, &st(0, &[0, 0]), &[None, None], 0);
         assert_eq!(tr, vec![(st(2, &[0, 0]), Rational::one())]);
         // Different locals → no state rule; env 7 hits the (env, time) table.
-        let tr = m.transition(&st(7, &[0, 1]), &[None, None], 0);
+        let tr = transition_of(&m, &st(7, &[0, 1]), &[None, None], 0);
         assert_eq!(tr, vec![(st(8, &[0, 0]), Rational::one())]);
         // No rule anywhere → copy unchanged.
-        let tr = m.transition(&st(3, &[0, 1]), &[None, None], 1);
+        let tr = transition_of(&m, &st(3, &[0, 1]), &[None, None], 1);
         assert_eq!(tr, vec![(st(3, &[0, 1]), Rational::one())]);
-        // The `_into` path agrees entry-for-entry.
-        let mut out = Vec::new();
-        m.transition_into(&st(0, &[0, 0]), &[Some(ActionId(1)), None], 0, &mut out);
-        assert_eq!(out, vec![(st(1, &[1, 0]), Rational::one())]);
+        // The query appends: entries already in the buffer are kept.
+        let mut out = vec![(st(9, &[9, 9]), Rational::zero())];
+        m.transition(&st(0, &[0, 0]), &[Some(ActionId(1)), None], 0, &mut out);
+        assert_eq!(
+            out,
+            vec![
+                (st(9, &[9, 9]), Rational::zero()),
+                (st(1, &[1, 0]), Rational::one())
+            ]
+        );
     }
 
     /// The sorted-position binary search agrees with a naive linear scan on
@@ -982,7 +862,7 @@ mod tests {
             for l0 in 0..2u64 {
                 for l1 in 0..3u64 {
                     for time in 0..3u32 {
-                        let state = pak_core::state::SimpleState::new(env, vec![l0, l1]);
+                        let state = SimpleState::new(env, vec![l0, l1]);
                         for mv in &joint_moves {
                             let linear = m.state_transitions.iter().find(|r| {
                                 r.env == env
@@ -997,15 +877,12 @@ mod tests {
                                     r.outcomes
                                         .iter()
                                         .map(|(e, ls, p)| {
-                                            (
-                                                pak_core::state::SimpleState::new(*e, ls.clone()),
-                                                p.clone(),
-                                            )
+                                            (SimpleState::new(*e, ls.clone()), p.clone())
                                         })
                                         .collect()
                                 },
                             );
-                            assert_eq!(m.transition(&state, mv, time), expected);
+                            assert_eq!(transition_of(&m, &state, mv, time), expected);
                         }
                     }
                 }

@@ -30,18 +30,16 @@
 //!
 //! # Purity contract
 //!
-//! The unfolder queries the model exclusively through the scratch-buffer
-//! API — [`ProtocolModel::moves_into`] and
-//! [`ProtocolModel::transition_into`], cleared-and-reused buffers, no
-//! allocation per query — and treats both (equivalently, the
-//! `Vec`-returning methods their defaults delegate to) as *pure
-//! functions* of their arguments: because interning makes state identity
-//! explicit, expansions are memoized per `(state, time)` and replayed for
-//! every tree node that revisits the pair, so the model's methods may be
-//! called once where a naive enumeration would call them many times.
-//! Models whose distributions depend on hidden mutable state would
-//! produce unspecified (though still validated) trees — no model in this
-//! workspace does.
+//! The unfolder queries the model through [`ProtocolModel::moves`] and
+//! [`ProtocolModel::transition`], appending into cleared-and-reused
+//! scratch buffers (no allocation per query), and treats both as *pure
+//! functions* of their arguments (see [`mod@crate::model`]): because
+//! interning makes state identity explicit, expansions are memoized per
+//! `(state, time)` and replayed for every tree node that revisits the
+//! pair, so the model's methods may be called once where a naive
+//! enumeration would call them many times. Models whose distributions
+//! depend on hidden mutable state would produce unspecified (though still
+//! validated) trees — no model in this workspace does.
 //!
 //! The memo is also threaded into the *build* pass: each expanded node is
 //! marked with its `(state, time)` key
@@ -66,21 +64,6 @@
 //! ([`UnfoldConfig::horizon`]) — proved by the incremental-vs-scratch
 //! sweep in `tests/unfold_differential.rs` and on every `pak-systems`
 //! scenario by `tests/systems_unfold_smoke.rs`.
-//!
-//! # Determinism and parallel unfolding
-//!
-//! Purity is also what makes the depth-1 subtrees of the tree — one per
-//! initial state — mutually independent: no expansion in one subtree can
-//! observe another. [`unfold_with_options`] exploits this behind
-//! [`UnfoldOptions::parallel_subtrees`], unfolding each subtree on a
-//! worker with its own scratch state, memo, and
-//! [`StatePool`](pak_core::intern::StatePool) shard, then stitching the
-//! shards back level-interleaved ([`PpsBuilder::absorb_subtrees`]) in the
-//! exact order the sequential level-order frontier would have emitted
-//! them. The guarantee is strict determinism, not mere equivalence: same
-//! pool ids, same node order, bit-equal probabilities, identical cells —
-//! proved across the seeded sweep by `tests/unfold_differential.rs` and
-//! on every `pak-systems` scenario by `tests/systems_unfold_smoke.rs`.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -91,7 +74,7 @@ use pak_core::error::PpsError;
 use pak_core::failpoint::{self, Fault};
 use pak_core::hash::{FxBuildHasher, FxHasher};
 use pak_core::ids::{ActionId, AgentId, NodeId, StateId, Time};
-use pak_core::pps::{available_cores, BuildOptions, Pps, PpsBuilder, PpsExtender};
+use pak_core::pps::{Pps, PpsBuilder, PpsExtender};
 use pak_core::prob::Probability;
 use pak_core::state::GlobalState;
 
@@ -132,42 +115,6 @@ impl Default for UnfoldConfig {
             horizon: None,
         }
     }
-}
-
-/// Options for [`unfold_with_options`]: how the unfolding pass executes
-/// (mirroring [`BuildOptions`] for the build pass). The produced system is
-/// bit-identical under every option combination — options trade wall-clock
-/// for resources only.
-#[derive(Debug, Clone, Default)]
-pub struct UnfoldOptions {
-    /// Whether to unfold the independent depth-1 subtrees (one per initial
-    /// state) on worker threads (`Some(true)`), strictly sequentially
-    /// (`Some(false)`), or to let the library decide (`None`). Each
-    /// worker unfolds its subtree with private scratch state into its own
-    /// [`PpsBuilder`] shard — pool, nodes, memo and all — and the shards
-    /// are then stitched back in the exact order the sequential pass
-    /// would have emitted, so pool ids, node order, and every probability
-    /// are identical to the sequential result (proved by the differential
-    /// harness). With fewer than two initial states there is nothing to
-    /// partition and the sequential path runs regardless.
-    ///
-    /// `None` currently resolves to *sequential*: unlike the build pass —
-    /// whose auto-threading is gated on a node count it can inspect
-    /// ([`pak_core::pps::PARALLEL_CELLS_MIN_NODES`]) — the tree size is
-    /// unknown before unfolding, and on the workloads measured so far
-    /// thread-spawn overhead exceeds the win. Pass `Some(true)` to opt in
-    /// on workloads/machines where the subtrees are large enough to
-    /// amortize the workers. On a **single-core machine** even
-    /// `Some(true)` runs sequentially: workers that cannot overlap are
-    /// pure overhead, and the stitching contract makes the fallback
-    /// observationally identical anyway.
-    ///
-    /// On *erroring* models the parallel path returns an error whenever
-    /// the sequential one does, but when several subtrees violate
-    /// different limits the reported error may name a different one.
-    pub parallel_subtrees: Option<bool>,
-    /// Options forwarded to the validation/indexing build pass.
-    pub build: BuildOptions,
 }
 
 /// Error produced by [`unfold`].
@@ -281,12 +228,9 @@ where
 /// Unfolds a protocol model into the raw (not yet validated) tree,
 /// stopping just before [`PpsBuilder::build`].
 ///
-/// This exposes the pipeline's two phases separately: tree construction
-/// (this function) and the validation/indexing build pass (`build`, or
-/// [`PpsBuilder::build_with`] for explicit [`BuildOptions`]). Profilers
-/// use it to
-/// attribute time per phase; the differential harness uses it to prove
-/// the sequential and threaded build paths bit-identical on one tree.
+/// This exposes the pipeline's two phases separately — tree construction
+/// (this function) and the validation/indexing build pass — so profilers
+/// can attribute time per phase.
 ///
 /// # Errors
 ///
@@ -300,30 +244,28 @@ where
     M: ProtocolModel<P>,
     P: Probability,
 {
+    unfold_levels(model, config).map(|(_, builder, _)| builder)
+}
+
+/// Validates the prior and expands it level by level up to
+/// `config.horizon` (or to exhaustion), returning the engine — memo,
+/// scratch and frontier — with the builder it filled and the time the
+/// frontier stopped at.
+#[allow(clippy::type_complexity)]
+fn unfold_levels<'m, M, P>(
+    model: &'m M,
+    config: &UnfoldConfig,
+) -> Result<(ExpansionCore<'m, M, P>, PpsBuilder<M::Global, P>, Time), UnfoldError>
+where
+    M: ProtocolModel<P>,
+    P: Probability,
+{
     let n_agents = model.n_agents();
     let initial = model.initial_states();
     validate_distribution(&initial).map_err(|detail| UnfoldError::BadModelDistribution {
         origin: "initial_states",
         detail,
     })?;
-    unfold_sequential(model, n_agents, initial, config)
-}
-
-/// The shared sequential pass over a pre-validated prior: seeds one
-/// [`ExpansionCore`] with every initial state and expands level by level
-/// to exhaustion (or to `config.horizon`). Both [`unfold_to_builder`] and
-/// the declined-parallelism path of [`unfold_to_builder_with_options`]
-/// run exactly this, so the two entry points cannot drift apart.
-fn unfold_sequential<M, P>(
-    model: &M,
-    n_agents: u32,
-    initial: Vec<(M::Global, P)>,
-    config: &UnfoldConfig,
-) -> Result<PpsBuilder<M::Global, P>, UnfoldError>
-where
-    M: ProtocolModel<P>,
-    P: Probability,
-{
     if initial.len() > config.max_nodes {
         return Err(UnfoldError::TooLarge {
             max_nodes: config.max_nodes,
@@ -332,184 +274,8 @@ where
     let mut core = ExpansionCore::new(model, n_agents);
     let mut builder = PpsBuilder::new(n_agents);
     core.seed(&mut builder, initial)?;
-    core.run_levels(&mut builder, 0, config.horizon, config)?;
-    Ok(builder)
-}
-
-/// Unfolds a protocol model with explicit limits *and* execution options:
-/// the parallel sibling of [`unfold_with`], and the only entry point for
-/// [`UnfoldOptions::parallel_subtrees`].
-///
-/// The depth-1 subtrees of the tree — one per initial state — are mutually
-/// independent: the purity contract makes every expansion a function of
-/// `(state, time)` alone, so each subtree can be unfolded by a worker with
-/// its own scratch state, [`StatePool`](pak_core::intern::StatePool)
-/// shard, and memo, and the shards stitched back level-interleaved
-/// ([`PpsBuilder::absorb_subtrees`]) in the exact order the sequential
-/// frontier would have emitted them. The stitched system is **identical**
-/// to the sequential one — same pool ids, same node order, bit-equal
-/// probabilities — which `tests/unfold_differential.rs` proves across the
-/// seeded sweep.
-///
-/// The extra bounds (`M: Sync`, `P: Send`) let worker threads share the
-/// model and return their shards; every model and probability type in this
-/// workspace satisfies them.
-///
-/// # Errors
-///
-/// See [`UnfoldError`].
-pub fn unfold_with_options<M, P>(
-    model: &M,
-    config: &UnfoldConfig,
-    options: &UnfoldOptions,
-) -> Result<Pps<M::Global, P>, UnfoldError>
-where
-    M: ProtocolModel<P> + Sync,
-    P: Probability + Send,
-{
-    Ok(unfold_to_builder_with_options(model, config, options)?.build_with(&options.build)?)
-}
-
-/// The builder-returning sibling of [`unfold_with_options`] (see
-/// [`unfold_to_builder`] for why the two phases are exposed separately).
-///
-/// # Errors
-///
-/// See [`UnfoldError`] — everything except [`UnfoldError::Pps`], which can
-/// only arise from the deferred build step.
-pub fn unfold_to_builder_with_options<M, P>(
-    model: &M,
-    config: &UnfoldConfig,
-    options: &UnfoldOptions,
-) -> Result<PpsBuilder<M::Global, P>, UnfoldError>
-where
-    M: ProtocolModel<P> + Sync,
-    P: Probability + Send,
-{
-    let n_agents = model.n_agents();
-    let initial = model.initial_states();
-    validate_distribution(&initial).map_err(|detail| UnfoldError::BadModelDistribution {
-        origin: "initial_states",
-        detail,
-    })?;
-    // `None` resolves to sequential (see `UnfoldOptions::parallel_subtrees`
-    // — pre-unfold there is no tree-size signal to gate on, and spawn
-    // overhead beats the win on every workload measured so far).
-    // `Some(true)` opts into the worker path whenever there are two
-    // subtrees to partition *and* more than one core to run them on — on
-    // a single core the workers cannot overlap and are pure overhead, so
-    // the sequential pass (bit-identical by the stitching contract) runs
-    // instead.
-    let parallel = available_cores() > 1 && options.parallel_subtrees.unwrap_or(false);
-    if !parallel || initial.len() < 2 {
-        // Nothing to partition (or parallelism declined): run the
-        // sequential pass on the already-validated prior.
-        return unfold_sequential(model, n_agents, initial, config);
-    }
-
-    let n_initial = initial.len();
-    if n_initial > config.max_nodes {
-        return Err(UnfoldError::TooLarge {
-            max_nodes: config.max_nodes,
-        });
-    }
-
-    // The stitched builder: the root and every initial node, in prior
-    // order — exactly the nodes the sequential pass creates before its
-    // first expansion.
-    let mut builder = PpsBuilder::<M::Global, P>::new(n_agents);
-    let mut graft_points: Vec<NodeId> = Vec::with_capacity(n_initial);
-    for (state, p) in &initial {
-        let sid = builder.intern(state.clone());
-        graft_points.push(builder.initial_interned(sid, p.clone())?);
-    }
-
-    // One worker shard per initial state, strided over at most
-    // `available_cores` threads. Each shard is a complete miniature
-    // unfold — own builder, own pool, own memo, own scratch — of one
-    // depth-1 subtree, seeded with the sequential pass's pre-subtree node
-    // count so the first-processed subtree sees exactly the budget the
-    // sequential pass would give it.
-    type Shard<G, P2> = Result<(PpsBuilder<G, P2>, usize), UnfoldError>;
-    let n_workers = available_cores().min(n_initial);
-    let mut shards: Vec<Option<Shard<M::Global, P>>> = (0..n_initial).map(|_| None).collect();
-    // Strided pre-partition: worker `w` owns initial states `w, w + n, …`
-    // (owned clones, so workers need no shared access to `P`).
-    let mut work: Vec<Vec<(usize, M::Global, P)>> = (0..n_workers).map(|_| Vec::new()).collect();
-    for (i, (state, p)) in initial.into_iter().enumerate() {
-        work[i % n_workers].push((i, state, p));
-    }
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = work
-            .into_iter()
-            .map(|items| {
-                scope.spawn(move || {
-                    items
-                        .into_iter()
-                        .map(|(i, state, p)| {
-                            (
-                                i,
-                                unfold_subtree(model, n_agents, state, p, n_initial, config),
-                            )
-                        })
-                        .collect::<Vec<(usize, Shard<M::Global, P>)>>()
-                })
-            })
-            .collect();
-        for handle in handles {
-            for (i, shard) in handle.join().expect("unfold worker panicked") {
-                shards[i] = Some(shard);
-            }
-        }
-    });
-
-    // Stitch in the sequential emission order: the frontier is processed
-    // level by level, subtrees in prior order within each level, which is
-    // exactly the interleaving `absorb_subtrees` reproduces from forward
-    // shard order. The running node total re-imposes the global
-    // `max_nodes` cap that each worker only saw locally.
-    let mut total = n_initial;
-    let mut collected = Vec::with_capacity(n_initial);
-    for shard in &mut shards {
-        let (shard, descendants) = shard.take().expect("every shard was produced")?;
-        total += descendants;
-        if total > config.max_nodes {
-            return Err(UnfoldError::TooLarge {
-                max_nodes: config.max_nodes,
-            });
-        }
-        collected.push(shard);
-    }
-    builder.absorb_subtrees(&graft_points, collected);
-    Ok(builder)
-}
-
-/// Unfolds the depth-1 subtree rooted at one initial state into a private
-/// builder shard, returning it with its descendant count.
-fn unfold_subtree<M, P>(
-    model: &M,
-    n_agents: u32,
-    state: M::Global,
-    prob: P,
-    n_initial: usize,
-    config: &UnfoldConfig,
-) -> Result<(PpsBuilder<M::Global, P>, usize), UnfoldError>
-where
-    M: ProtocolModel<P>,
-    P: Probability,
-{
-    let mut core = ExpansionCore::new(model, n_agents);
-    let mut builder = PpsBuilder::new(n_agents);
-    let sid = builder.intern(state);
-    let id = builder.initial_interned(sid, prob)?;
-    // Count as if every initial node were already emitted (the sequential
-    // pass has emitted all of them before expanding any subtree).
-    core.node_count = n_initial;
-    if !model.is_terminal(builder.state(sid), 0) {
-        core.frontier.push((id, sid));
-    }
-    core.run_levels(&mut builder, 0, config.horizon, config)?;
-    Ok((builder, core.node_count - n_initial))
+    let horizon = core.run_levels(&mut builder, 0, config.horizon, config)?;
+    Ok((core, builder, horizon))
 }
 
 /// Sentinel for "no memoized expansion" in [`ExpansionCore`]'s dense memo
@@ -615,10 +381,9 @@ impl<G: GlobalState, P: Probability> ExpandTarget<G, P> for PpsExtender<G, P> {
 /// The expansion engine: the frontier and every reusable buffer of the
 /// expansion loop, kept separate from the tree being filled (the
 /// [`ExpandTarget`] sink) so the same engine can drive both an initial
-/// unfold and later incremental growth. The sequential entry points run
-/// one engine over the whole frontier; the parallel path runs one per
-/// depth-1 subtree; a retained [`Unfolder`] keeps its engine — memo,
-/// scratch, frontier and all — alive across horizon extensions.
+/// unfold and later incremental growth: a retained [`Unfolder`] keeps
+/// the engine of its initial unfold — memo, scratch, frontier and all —
+/// alive across horizon extensions.
 ///
 /// The frontier is processed strictly in **level order** (all of time `t`
 /// before any of time `t + 1`), which makes every horizon-`h` tree a
@@ -669,7 +434,7 @@ struct ExpansionCore<'m, M: ProtocolModel<P>, P: Probability> {
     memo_added: Vec<(StateId, u32)>,
     // --- per-expansion scratch, cleared (not reallocated) per miss ---
     /// Each agent's move distribution, filled through
-    /// [`ProtocolModel::moves_into`].
+    /// [`ProtocolModel::moves`].
     per_agent: Vec<Vec<(M::Move, P)>>,
     /// Merge probe: hash of `(actions, successor id)` → candidate slots.
     index: HashMap<u64, Vec<usize>, FxBuildHasher>,
@@ -680,7 +445,7 @@ struct ExpansionCore<'m, M: ProtocolModel<P>, P: Probability> {
     /// The action labels of the joint move under construction.
     actions: Vec<(AgentId, ActionId)>,
     /// The environment's successor distribution, filled through
-    /// [`ProtocolModel::transition_into`].
+    /// [`ProtocolModel::transition`].
     outcomes: Vec<(M::Global, P)>,
 }
 
@@ -938,7 +703,7 @@ where
             let local = sink.state(sid).local(agent);
             let dist = &mut self.per_agent[a as usize];
             dist.clear();
-            self.model.moves_into(agent, &local, time, dist);
+            self.model.moves(agent, &local, time, dist);
             validate_distribution(dist).map_err(|detail| UnfoldError::BadModelDistribution {
                 origin: "moves",
                 detail,
@@ -980,7 +745,7 @@ where
             }
             self.outcomes.clear();
             self.model
-                .transition_into(sink.state(sid), &self.joint, time, &mut self.outcomes);
+                .transition(sink.state(sid), &self.joint, time, &mut self.outcomes);
             validate_distribution(&self.outcomes).map_err(|detail| {
                 UnfoldError::BadModelDistribution {
                     origin: "transition",
@@ -1146,26 +911,11 @@ where
     ///
     /// See [`UnfoldError`].
     pub fn new(model: &'m M, config: UnfoldConfig) -> Result<Self, UnfoldError> {
-        let n_agents = model.n_agents();
-        let initial = model.initial_states();
-        validate_distribution(&initial).map_err(|detail| UnfoldError::BadModelDistribution {
-            origin: "initial_states",
-            detail,
-        })?;
-        if initial.len() > config.max_nodes {
-            return Err(UnfoldError::TooLarge {
-                max_nodes: config.max_nodes,
-            });
-        }
-        let mut core = ExpansionCore::new(model, n_agents);
-        let mut builder = PpsBuilder::new(n_agents);
-        core.seed(&mut builder, initial)?;
-        let horizon = core.run_levels(&mut builder, 0, config.horizon, &config)?;
-        let pps = builder.build()?;
+        let (core, builder, horizon) = unfold_levels(model, &config)?;
         Ok(Unfolder {
+            extender: PpsExtender::new(builder.build()?),
             config,
             core,
-            extender: PpsExtender::new(pps),
             horizon,
         })
     }
@@ -1543,8 +1293,8 @@ mod tests {
             fn is_terminal(&self, _s: &SimpleState, _t: u32) -> bool {
                 false
             }
-            fn moves(&self, _a: AgentId, _l: &u64, _t: u32) -> Vec<((), Rational)> {
-                vec![((), Rational::one())]
+            fn moves(&self, _a: AgentId, _l: &u64, _t: u32, out: &mut Vec<((), Rational)>) {
+                out.push(((), Rational::one()));
             }
             fn action_of(&self, _mv: &()) -> Option<ActionId> {
                 None
@@ -1554,8 +1304,9 @@ mod tests {
                 s: &SimpleState,
                 _m: &[()],
                 _t: u32,
-            ) -> Vec<(SimpleState, Rational)> {
-                vec![(s.clone(), Rational::one())]
+                out: &mut Vec<(SimpleState, Rational)>,
+            ) {
+                out.push((s.clone(), Rational::one()));
             }
         }
         let cfg = UnfoldConfig {
@@ -1565,139 +1316,6 @@ mod tests {
         };
         let err = unfold_with::<_, Rational>(&Forever, &cfg).unwrap_err();
         assert!(matches!(err, UnfoldError::DepthExceeded { max_depth: 8 }));
-    }
-
-    #[test]
-    fn parallel_unfold_is_identical_to_sequential() {
-        use crate::generator::{random_model, RandomModelConfig};
-        for seed in 0..6u64 {
-            let model = random_model::<Rational>(seed * 31 + 5, &RandomModelConfig::default());
-            let seq = unfold_with_options(
-                &model,
-                &UnfoldConfig::default(),
-                &UnfoldOptions {
-                    parallel_subtrees: Some(false),
-                    ..UnfoldOptions::default()
-                },
-            )
-            .unwrap();
-            let par = unfold_with_options(
-                &model,
-                &UnfoldConfig::default(),
-                &UnfoldOptions {
-                    parallel_subtrees: Some(true),
-                    ..UnfoldOptions::default()
-                },
-            )
-            .unwrap();
-            // Same pool, same ids: the stitched interning order must equal
-            // the sequential one exactly.
-            assert_eq!(seq.num_distinct_states(), par.num_distinct_states());
-            for ((ids, s), (idp, p)) in seq.state_pool().iter().zip(par.state_pool().iter()) {
-                assert_eq!(ids, idp, "seed {seed}");
-                assert_eq!(s, p, "seed {seed}: pool state {ids}");
-            }
-            // Same nodes in the same order, bit-equal edge data.
-            assert_eq!(seq.num_nodes(), par.num_nodes(), "seed {seed}");
-            for n in (1..seq.num_nodes() as u32).map(NodeId) {
-                assert_eq!(seq.parent(n), par.parent(n), "seed {seed}: parent of {n}");
-                assert_eq!(
-                    seq.node_state_id(n),
-                    par.node_state_id(n),
-                    "seed {seed}: state of {n}"
-                );
-                assert_eq!(
-                    seq.node_time(n),
-                    par.node_time(n),
-                    "seed {seed}: time of {n}"
-                );
-            }
-            // Same runs with bit-equal probabilities, same cells.
-            assert_eq!(seq.num_runs(), par.num_runs(), "seed {seed}");
-            for run in seq.run_ids() {
-                assert_eq!(seq.nodes_of(run), par.nodes_of(run), "seed {seed}: {run}");
-                assert_eq!(
-                    seq.run_probability(run),
-                    par.run_probability(run),
-                    "seed {seed}: probability of {run}"
-                );
-            }
-            assert_eq!(seq.num_cells(), par.num_cells(), "seed {seed}");
-            for ((ids, cs), (idp, cp)) in seq.cells().zip(par.cells()) {
-                assert_eq!(ids, idp, "seed {seed}");
-                assert_eq!(cs, cp, "seed {seed}: cell {ids}");
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_unfold_single_initial_state_falls_back() {
-        // One depth-1 subtree: nothing to partition; the request is
-        // honoured by the sequential path and the result is unchanged.
-        let m: TableModel<Rational> = TableModel {
-            n_agents: 1,
-            initial: vec![(0, vec![0], Rational::one())],
-            horizon: 2,
-            moves: vec![],
-            transitions: vec![],
-            ..TableModel::default()
-        };
-        let par = unfold_with_options(
-            &m,
-            &UnfoldConfig::default(),
-            &UnfoldOptions {
-                parallel_subtrees: Some(true),
-                ..UnfoldOptions::default()
-            },
-        )
-        .unwrap();
-        let seq = unfold::<_, Rational>(&m).unwrap();
-        assert_eq!(par.num_runs(), seq.num_runs());
-        assert_eq!(par.num_nodes(), seq.num_nodes());
-    }
-
-    #[test]
-    fn parallel_unfold_enforces_node_budget() {
-        let m = CoinModel {
-            heads_num: 1,
-            heads_den: 2,
-        };
-        // The coin tree has 4 state nodes across 2 subtrees: a budget of 3
-        // fails in parallel exactly as it does sequentially.
-        for budget in [1usize, 3] {
-            let err = unfold_with_options::<_, Rational>(
-                &m,
-                &UnfoldConfig {
-                    max_nodes: budget,
-                    max_depth: None,
-                    horizon: None,
-                },
-                &UnfoldOptions {
-                    parallel_subtrees: Some(true),
-                    ..UnfoldOptions::default()
-                },
-            )
-            .unwrap_err();
-            assert!(
-                matches!(err, UnfoldError::TooLarge { max_nodes } if max_nodes == budget),
-                "budget {budget}: {err:?}"
-            );
-        }
-        // And a budget of exactly 4 succeeds.
-        let pps = unfold_with_options::<_, Rational>(
-            &m,
-            &UnfoldConfig {
-                max_nodes: 4,
-                max_depth: None,
-                horizon: None,
-            },
-            &UnfoldOptions {
-                parallel_subtrees: Some(true),
-                ..UnfoldOptions::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(pps.num_nodes(), 5);
     }
 
     #[test]

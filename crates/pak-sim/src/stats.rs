@@ -53,6 +53,11 @@ impl Proportion {
 
     /// The Wilson score interval at critical value `z` (e.g. `1.96` for
     /// 95%, `2.576` for 99%). Returns `(0, 1)` for zero trials.
+    ///
+    /// The interval always contains the point estimate: the bounds are
+    /// clamped to `[0, p]` and `[p, 1]`, so rounding can never exclude `p`
+    /// (at `n` successes of `n` the upper bound is exactly `1`, at zero
+    /// successes the lower bound is exactly `0`).
     #[must_use]
     pub fn wilson(&self, z: f64) -> (f64, f64) {
         if self.trials == 0 {
@@ -65,7 +70,7 @@ impl Proportion {
         let denom = 1.0 + z2 / n;
         let center = (p + z2 / (2.0 * n)) / denom;
         let half = z * (p * (1.0 - p) / n + z2 / (4.0 * n * n)).sqrt() / denom;
-        ((center - half).max(0.0), (center + half).min(1.0))
+        ((center - half).clamp(0.0, p), (center + half).clamp(p, 1.0))
     }
 
     /// Whether `value` lies inside the Wilson interval at critical value
@@ -217,10 +222,29 @@ mod tests {
         // Extreme proportions stay in [0, 1].
         let all = Proportion::new(100, 100);
         let (lo, hi) = all.wilson(1.96);
-        assert!(lo > 0.9 && hi > 1.0 - 1e-9);
+        assert!(lo > 0.9 && hi == 1.0);
         let none = Proportion::new(0, 100);
         let (lo, hi) = none.wilson(1.96);
         assert!(lo < 1e-9 && hi < 0.1);
+    }
+
+    #[test]
+    fn wilson_interval_contains_its_point_estimate() {
+        for n in 1..=5000u64 {
+            for z in [1.96, 2.576] {
+                for k in [0, 1, n / 2, n - 1, n] {
+                    let p = Proportion::new(k, n);
+                    let (lo, hi) = p.wilson(z);
+                    assert!(
+                        lo <= p.point() && p.point() <= hi,
+                        "{k}/{n}, z = {z}: ({lo}, {hi})"
+                    );
+                }
+                assert_eq!(Proportion::new(n, n).wilson(z).1, 1.0, "{n}/{n}, z = {z}");
+                assert_eq!(Proportion::new(0, n).wilson(z).0, 0.0, "0/{n}, z = {z}");
+                assert!(Proportion::new(n, n).contains(1.0, z), "{n}/{n}, z = {z}");
+            }
+        }
     }
 
     #[test]

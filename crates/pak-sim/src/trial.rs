@@ -82,11 +82,11 @@ pub struct Simulator<'m, M: ProtocolModel<P>, P: Probability> {
     model: &'m M,
     rng: SplitMix64,
     /// Scratch for per-agent move distributions, cleared and refilled
-    /// through [`ProtocolModel::moves_into`] on every round — sampling
+    /// through [`ProtocolModel::moves`] on every round — sampling
     /// many trials allocates nothing per query.
     moves_buf: Vec<(M::Move, P)>,
     /// Scratch for the environment's successor distribution
-    /// ([`ProtocolModel::transition_into`]).
+    /// ([`ProtocolModel::transition`]).
     outcomes_buf: Vec<(M::Global, P)>,
 }
 
@@ -134,8 +134,7 @@ where
                 let agent = AgentId(a);
                 let local = state.local(agent);
                 self.moves_buf.clear();
-                self.model
-                    .moves_into(agent, &local, time, &mut self.moves_buf);
+                self.model.moves(agent, &local, time, &mut self.moves_buf);
                 let mv = Self::pick(&mut self.rng, &self.moves_buf);
                 if let Some(act) = self.model.action_of(&mv) {
                     performed.push((agent, act));
@@ -144,7 +143,7 @@ where
             }
             self.outcomes_buf.clear();
             self.model
-                .transition_into(&state, &joint, time, &mut self.outcomes_buf);
+                .transition(&state, &joint, time, &mut self.outcomes_buf);
             let next = Self::pick(&mut self.rng, &self.outcomes_buf);
             states.push(next);
             actions.push(performed);

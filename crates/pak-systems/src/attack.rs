@@ -106,8 +106,7 @@ impl<P: Probability> CoordinatedAttack<P> {
     /// The scenario as a lossy-channel
     /// [`ProtocolModel`](pak_protocol::model::ProtocolModel) — what
     /// [`CoordinatedAttack::build_pps`] unfolds, exposed so callers can
-    /// drive the model API directly (simulation, differential testing,
-    /// parallel unfolding).
+    /// drive the model API directly (simulation, differential testing).
     #[must_use]
     pub fn model(&self) -> LossyMessagingModel<Self, P> {
         LossyMessagingModel::new(self.clone(), self.loss.clone())
@@ -125,8 +124,8 @@ impl<P: Probability> CoordinatedAttack<P> {
         Ok(AttackSystem { pps })
     }
 
-    /// The (deterministic) move of `agent` at `(local, time)` — the shared
-    /// core of [`MessageProtocol::step`] and [`MessageProtocol::step_into`].
+    /// The (deterministic) move of `agent` at `(local, time)`, which
+    /// [`MessageProtocol::step`] appends with probability one.
     fn move_at(&self, agent: AgentId, local: &GeneralLocal, time: Time) -> AgentMove {
         if time < self.rounds {
             // Messenger rounds: A sends on even rounds, B acks on odd.
@@ -196,11 +195,7 @@ impl<P: Probability> MessageProtocol<P> for CoordinatedAttack<P> {
         self.rounds + 1
     }
 
-    fn step(&self, agent: AgentId, local: &GeneralLocal, time: Time) -> Vec<(AgentMove, P)> {
-        vec![(self.move_at(agent, local, time), P::one())]
-    }
-
-    fn step_into(
+    fn step(
         &self,
         agent: AgentId,
         local: &GeneralLocal,

@@ -100,8 +100,8 @@ impl<P: Probability> Broadcast<P> {
         LossyMessagingModel::new(self.clone(), self.loss.clone())
     }
 
-    /// The (deterministic) move of `agent` at `(local, time)` — the shared
-    /// core of [`MessageProtocol::step`] and [`MessageProtocol::step_into`].
+    /// The (deterministic) move of `agent` at `(local, time)`, which
+    /// [`MessageProtocol::step`] appends with probability one.
     fn move_at(&self, agent: AgentId, local: &BcastLocal, time: Time) -> AgentMove {
         if time < self.rounds {
             if agent == SOURCE {
@@ -181,17 +181,7 @@ impl<P: Probability> MessageProtocol<P> for Broadcast<P> {
         self.rounds + 1
     }
 
-    fn step(&self, agent: AgentId, local: &BcastLocal, time: Time) -> Vec<(AgentMove, P)> {
-        vec![(self.move_at(agent, local, time), P::one())]
-    }
-
-    fn step_into(
-        &self,
-        agent: AgentId,
-        local: &BcastLocal,
-        time: Time,
-        out: &mut Vec<(AgentMove, P)>,
-    ) {
+    fn step(&self, agent: AgentId, local: &BcastLocal, time: Time, out: &mut Vec<(AgentMove, P)>) {
         out.push((self.move_at(agent, local, time), P::one()));
     }
 

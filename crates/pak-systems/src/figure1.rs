@@ -107,38 +107,17 @@ impl<P: Probability> ProtocolModel<P> for Figure1Model {
         time >= 1
     }
 
-    fn moves(&self, _agent: AgentId, _local: &u64, _time: Time) -> Vec<(Self::Move, P)> {
-        let half = P::from_ratio(1, 2);
-        vec![(Some(ALPHA), half.clone()), (Some(ALPHA_PRIME), half)]
-    }
-
     fn action_of(&self, mv: &Self::Move) -> Option<ActionId> {
         *mv
     }
 
-    fn transition(
-        &self,
-        _state: &SimpleState,
-        moves: &[Self::Move],
-        _time: Time,
-    ) -> Vec<(SimpleState, P)> {
-        let local = if moves[0] == Some(ALPHA) { 1 } else { 2 };
-        vec![(SimpleState::new(0, vec![local]), P::one())]
-    }
-
-    fn moves_into(
-        &self,
-        _agent: AgentId,
-        _local: &u64,
-        _time: Time,
-        out: &mut Vec<(Self::Move, P)>,
-    ) {
+    fn moves(&self, _agent: AgentId, _local: &u64, _time: Time, out: &mut Vec<(Self::Move, P)>) {
         let half = P::from_ratio(1, 2);
         out.push((Some(ALPHA), half.clone()));
         out.push((Some(ALPHA_PRIME), half));
     }
 
-    fn transition_into(
+    fn transition(
         &self,
         _state: &SimpleState,
         moves: &[Self::Move],

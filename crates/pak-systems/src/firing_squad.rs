@@ -279,8 +279,8 @@ impl<P: Probability> FiringSquad<P> {
         LossyMessagingModel::new(self.clone(), self.loss.clone())
     }
 
-    /// The (deterministic) move of `agent` at `(local, time)` — the shared
-    /// core of [`MessageProtocol::step`] and [`MessageProtocol::step_into`].
+    /// The (deterministic) move of `agent` at `(local, time)`, which
+    /// [`MessageProtocol::step`] appends with probability one.
     fn move_at(&self, agent: AgentId, local: &FsLocal, time: Time) -> AgentMove {
         match (agent, local, time) {
             // Round 1: Alice sends `copies` copies when go = 1.
@@ -343,17 +343,7 @@ impl<P: Probability> MessageProtocol<P> for FiringSquad<P> {
         3
     }
 
-    fn step(&self, agent: AgentId, local: &FsLocal, time: Time) -> Vec<(AgentMove, P)> {
-        vec![(self.move_at(agent, local, time), P::one())]
-    }
-
-    fn step_into(
-        &self,
-        agent: AgentId,
-        local: &FsLocal,
-        time: Time,
-        out: &mut Vec<(AgentMove, P)>,
-    ) {
+    fn step(&self, agent: AgentId, local: &FsLocal, time: Time, out: &mut Vec<(AgentMove, P)>) {
         out.push((self.move_at(agent, local, time), P::one()));
     }
 

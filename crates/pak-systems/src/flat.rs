@@ -190,37 +190,18 @@ impl<P: Probability> ProtocolModel<P> for FlatModel<P> {
         true // static: no rounds at all
     }
 
-    // `moves`/`transition` are never reached (every state is terminal);
-    // they still implement the trivial skip/stay protocol for callers that
-    // probe the model directly.
-    fn moves(&self, _agent: AgentId, _local: &u64, _time: Time) -> Vec<(Self::Move, P)> {
-        vec![(None, P::one())]
-    }
-
     fn action_of(&self, mv: &Self::Move) -> Option<ActionId> {
         *mv
     }
 
-    fn transition(
-        &self,
-        state: &SimpleState,
-        _moves: &[Self::Move],
-        _time: Time,
-    ) -> Vec<(SimpleState, P)> {
-        vec![(state.clone(), P::one())]
-    }
-
-    fn moves_into(
-        &self,
-        _agent: AgentId,
-        _local: &u64,
-        _time: Time,
-        out: &mut Vec<(Self::Move, P)>,
-    ) {
+    // `moves`/`transition` are never reached (every state is terminal);
+    // they still implement the trivial skip/stay protocol for callers that
+    // probe the model directly.
+    fn moves(&self, _agent: AgentId, _local: &u64, _time: Time, out: &mut Vec<(Self::Move, P)>) {
         out.push((None, P::one()));
     }
 
-    fn transition_into(
+    fn transition(
         &self,
         state: &SimpleState,
         _moves: &[Self::Move],

@@ -27,9 +27,7 @@ use std::time::{Duration, Instant};
 
 use pak::num::Rational;
 use pak::protocol::generator::{random_model, RandomModelConfig};
-use pak::protocol::unfold::{
-    unfold_to_builder, unfold_with, unfold_with_options, UnfoldConfig, UnfoldOptions, Unfolder,
-};
+use pak::protocol::unfold::{unfold_to_builder, unfold_with, UnfoldConfig, Unfolder};
 
 fn main() {
     for horizon in [2u32, 3, 4, 5, 6] {
@@ -77,22 +75,6 @@ fn main() {
         }
         let build_direct = (t.elapsed() / iters).saturating_sub(clone);
 
-        // Parallel subtree unfolding on the same workload: one worker per
-        // initial state, stitched back bit-identically. On a single-core
-        // machine this column shows pure threading overhead; on multi-core
-        // boxes it is where the depth-1 partition pays.
-        let options = UnfoldOptions {
-            parallel_subtrees: Some(true),
-            ..UnfoldOptions::default()
-        };
-        let t = Instant::now();
-        for _ in 0..iters {
-            std::hint::black_box(
-                unfold_with_options(&model, &UnfoldConfig::default(), &options).unwrap(),
-            );
-        }
-        let threaded = t.elapsed() / iters;
-
         // Incremental growth: the cost of the final extend(h−1 → h) on a
         // retained handle, measured on clones of the horizon-(h−1) handle
         // with the clone cost subtracted — against `full`, the from-scratch
@@ -121,7 +103,7 @@ fn main() {
         let build = full.saturating_sub(tree);
         let share = |d: Duration| 100.0 * d.as_secs_f64() / full.as_secs_f64().max(1e-12);
         println!(
-            "horizon {horizon}: {full:>9.2?}/unfold = tree {tree:>8.2?} ({:>4.1}%) + build {build:>8.2?} ({:>4.1}%, direct {build_direct:.2?}) | threaded {threaded:>8.2?} | extend {extend:>8.2?} ({:>4.1}% of rebuild) | nodes={:<5} runs={:<4} distinct states={:<3} ({}x shared)",
+            "horizon {horizon}: {full:>9.2?}/unfold = tree {tree:>8.2?} ({:>4.1}%) + build {build:>8.2?} ({:>4.1}%, direct {build_direct:.2?}) | extend {extend:>8.2?} ({:>4.1}% of rebuild) | nodes={:<5} runs={:<4} distinct states={:<3} ({}x shared)",
             share(tree),
             share(build),
             share(extend),

@@ -6,7 +6,8 @@
 //! cargo run --bin pak-experiments -- e1 e3   # a subset
 //! ```
 //!
-//! Exits non-zero if any value disagrees with the paper.
+//! Exits non-zero if any value disagrees with the paper, or if a name is
+//! not one of the experiments (`e1 e2 e3 e5 e8 e11`).
 
 use std::process::ExitCode;
 
@@ -204,30 +205,37 @@ fn e11(rep: &mut Report) {
     );
 }
 
+/// One experiment: prints its rows and records mismatches in the report.
+type Experiment = fn(&mut Report);
+
+/// Every experiment, by the name it is selected with on the command line.
+const EXPERIMENTS: [(&str, Experiment); 6] = [
+    ("e1", e1),
+    ("e2", e2),
+    ("e3", e3),
+    ("e5", e5),
+    ("e8", e8),
+    ("e11", e11),
+];
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let want = |k: &str| args.is_empty() || args.iter().any(|a| a == k);
+    let names: Vec<&str> = EXPERIMENTS.iter().map(|&(name, _)| name).collect();
+    if let Some(unknown) = args.iter().find(|a| !names.contains(&a.as_str())) {
+        eprintln!(
+            "unknown experiment `{unknown}`; valid names: {}",
+            names.join(" ")
+        );
+        return ExitCode::FAILURE;
+    }
 
     let mut rep = Report { failures: 0 };
     println!("pak — paper-vs-measured experiment tables");
     println!("{}", "=".repeat(92));
-    if want("e1") {
-        e1(&mut rep);
-    }
-    if want("e2") {
-        e2(&mut rep);
-    }
-    if want("e3") {
-        e3(&mut rep);
-    }
-    if want("e5") {
-        e5(&mut rep);
-    }
-    if want("e8") {
-        e8(&mut rep);
-    }
-    if want("e11") {
-        e11(&mut rep);
+    for (name, run) in EXPERIMENTS {
+        if args.is_empty() || args.iter().any(|a| a == name) {
+            run(&mut rep);
+        }
     }
     println!();
     if rep.failures == 0 {

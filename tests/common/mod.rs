@@ -5,14 +5,14 @@ use pak::core::prelude::*;
 use pak::num::Rational;
 
 /// Asserts two systems produced from the *same* model/tree are identical
-/// in the strict, id-level sense the parallel-unfold and scratch-buffer
-/// guarantees promise: same pool ids in the same order, same node order
-/// (parents, state ids, times, action labels), same run arena with
-/// bit-equal probabilities, and identical cells id for id.
+/// in the strict, id-level sense incremental horizon growth promises: same
+/// pool ids in the same order, same node order (parents, state ids, times,
+/// action labels), same run arena with bit-equal probabilities, and
+/// identical cells id for id.
 ///
 /// This is deliberately stronger than observable equivalence — it is the
-/// "same pool ids, same node order" contract of
-/// `UnfoldOptions::parallel_subtrees` and `VecApiModel`.
+/// "same pool ids, same node order" contract of `Unfolder::extend_horizon`
+/// against a from-scratch unfold capped at the same horizon.
 pub fn assert_identical_systems<G: GlobalState>(
     a: &Pps<G, Rational>,
     b: &Pps<G, Rational>,

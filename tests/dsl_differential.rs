@@ -147,7 +147,7 @@ impl<P: Probability> ProtocolModel<P> for AstModel<'_, P> {
         u64::from(time) >= self.prog.horizon.as_ref().expect("validated horizon").value
     }
 
-    fn moves(&self, agent: AgentId, local: &u64, time: Time) -> Vec<(Self::Move, P)> {
+    fn moves(&self, agent: AgentId, local: &u64, time: Time, out: &mut Vec<(Self::Move, P)>) {
         let name = &self.prog.agents[agent.0 as usize].value;
         for block in &self.prog.moves {
             if block.agent.value != *name {
@@ -155,24 +155,21 @@ impl<P: Probability> ProtocolModel<P> for AstModel<'_, P> {
             }
             for rule in &block.rules {
                 if rule.local.value == *local && rule.time.value == u64::from(time) {
-                    return rule
-                        .dist
-                        .iter()
-                        .map(|arm| {
-                            let mv = match &arm.action.value {
-                                MoveAction::Skip => None,
-                                MoveAction::Named(n) => Some(self.action_id(n)),
-                            };
-                            (
-                                mv,
-                                P::from_ratio(arm.weight.value.num, arm.weight.value.den),
-                            )
-                        })
-                        .collect();
+                    out.extend(rule.dist.iter().map(|arm| {
+                        let mv = match &arm.action.value {
+                            MoveAction::Skip => None,
+                            MoveAction::Named(n) => Some(self.action_id(n)),
+                        };
+                        (
+                            mv,
+                            P::from_ratio(arm.weight.value.num, arm.weight.value.den),
+                        )
+                    }));
+                    return;
                 }
             }
         }
-        vec![(None, P::one())]
+        out.push((None, P::one()));
     }
 
     fn action_of(&self, mv: &Self::Move) -> Option<ActionId> {
@@ -184,25 +181,23 @@ impl<P: Probability> ProtocolModel<P> for AstModel<'_, P> {
         state: &SimpleState,
         moves: &[Self::Move],
         time: Time,
-    ) -> Vec<(SimpleState, P)> {
+        out: &mut Vec<(SimpleState, P)>,
+    ) {
         for rule in &self.rules {
             if self.state_tuple(&rule.from.value) == *state
                 && rule.time.value == u64::from(time)
                 && self.guard_matches(rule, moves)
             {
-                return rule
-                    .dist
-                    .iter()
-                    .map(|arm| {
-                        (
-                            self.state_tuple(&arm.state.value),
-                            P::from_ratio(arm.weight.value.num, arm.weight.value.den),
-                        )
-                    })
-                    .collect();
+                out.extend(rule.dist.iter().map(|arm| {
+                    (
+                        self.state_tuple(&arm.state.value),
+                        P::from_ratio(arm.weight.value.num, arm.weight.value.den),
+                    )
+                }));
+                return;
             }
         }
-        vec![(state.clone(), P::one())]
+        out.push((state.clone(), P::one()));
     }
 }
 

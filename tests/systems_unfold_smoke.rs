@@ -9,33 +9,27 @@
 //! deterministic threshold protocols. This suite closes that gap: **every**
 //! `pak-systems` protocol (attack, broadcast, figure1, firing_squad, flat,
 //! judge, mutex, policy, threshold) unfolds at a small horizon through
-//! both model APIs —
+//! both unfolding APIs —
 //!
-//! * the retained `Vec`-returning methods, forced via
-//!   [`VecApiModel`] (default `_into` impls), and
-//! * the native scratch-buffer `_into` methods on the unmodified model —
+//! * the from-scratch `unfold_with`, and
+//! * a retained `Unfolder` grown one level at a time (0→1→…→h) —
 //!
-//! and the two systems must be *identical*: same nodes in the same order,
+//! and the grown system must be *identical* to the from-scratch unfold
+//! capped at every intermediate horizon: same nodes in the same order,
 //! bit-equal run probabilities, identical cells and action events. On top
 //! of that, exact-sum checks (`µ(R_T) = 1` and every internal node's
-//! outgoing distribution summing exactly to one) hold on each result,
-//! parallel subtree unfolding reproduces the sequential system
-//! node-for-node, **incremental horizon growth** (a retained `Unfolder`
-//! extended 0→1→…→h) reproduces the from-scratch capped unfold
-//! bit-identically at every intermediate horizon, and scenarios with a
-//! hand-built [`PpsBuilder`] twin are proved observably equivalent to it
-//! (same run multiset with exact probabilities, same action-event
-//! measures, same analysis quantities).
+//! outgoing distribution summing exactly to one) hold on each result, and
+//! scenarios with a hand-built [`PpsBuilder`] twin are proved observably
+//! equivalent to it (same run multiset with exact probabilities, same
+//! action-event measures, same analysis quantities).
 
 mod common;
 
 use common::assert_identical_systems;
 use pak::core::prelude::*;
 use pak::num::Rational;
-use pak::protocol::model::{ProtocolModel, VecApiModel};
-use pak::protocol::unfold::{
-    unfold_with, unfold_with_options, UnfoldConfig, UnfoldOptions, Unfolder,
-};
+use pak::protocol::model::ProtocolModel;
+use pak::protocol::unfold::{unfold_with, UnfoldConfig, Unfolder};
 use pak::systems::attack::CoordinatedAttack;
 use pak::systems::broadcast::Broadcast;
 use pak::systems::figure1::{figure1, Figure1Model};
@@ -131,30 +125,16 @@ fn assert_equivalent<G: GlobalState>(got: &Pps<G, Rational>, want: &Pps<G, Ratio
     }
 }
 
-/// The full battery for one protocol model: native `_into` unfold vs the
-/// `Vec`-API default path, exact sums on both, parallel-vs-sequential
-/// subtree unfolding, and incremental horizon growth vs from-scratch
-/// capped unfolds at every intermediate horizon. Returns the native
-/// unfold for scenario-specific checks.
+/// The full battery for one protocol model: exact sums on the
+/// from-scratch unfold, and incremental horizon growth vs from-scratch
+/// capped unfolds at every intermediate horizon. Returns the full unfold
+/// for scenario-specific checks.
 fn check_model<M>(model: M, ctx: &str) -> Pps<M::Global, Rational>
 where
-    M: ProtocolModel<Rational> + Clone + Sync,
+    M: ProtocolModel<Rational>,
 {
     let native = unfold_with(&model, &UnfoldConfig::default()).unwrap();
-    let vec_api = unfold_with(&VecApiModel(model.clone()), &UnfoldConfig::default()).unwrap();
-    assert_identical_systems(&native, &vec_api, &format!("{ctx} [vec-api]"));
     assert_exact_sums(&native, ctx);
-    assert_exact_sums(&vec_api, &format!("{ctx} [vec-api]"));
-    let parallel = unfold_with_options(
-        &model,
-        &UnfoldConfig::default(),
-        &UnfoldOptions {
-            parallel_subtrees: Some(true),
-            ..UnfoldOptions::default()
-        },
-    )
-    .unwrap();
-    assert_identical_systems(&native, &parallel, &format!("{ctx} [parallel]"));
     // Incremental horizon growth: grow from the bare prior one level at a
     // time; at every step the grown system must be bit-identical — pool
     // ids, node order, runs, cells — to a from-scratch unfold capped at

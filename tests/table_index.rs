@@ -16,6 +16,30 @@ use pak::core::prelude::*;
 use pak::num::Rational;
 use pak::protocol::model::{ProtocolModel, TableIndex, TableModel};
 
+/// The move distribution of `model` at `(agent, local, time)`.
+fn moves_of(
+    model: &TableModel<Rational>,
+    agent: u32,
+    local: u64,
+    time: Time,
+) -> Vec<(Option<ActionId>, Rational)> {
+    let mut out = Vec::new();
+    model.moves(AgentId(agent), &local, time, &mut out);
+    out
+}
+
+/// The successor distribution of `model` at `(state, moves, time)`.
+fn transition_of(
+    model: &TableModel<Rational>,
+    state: &SimpleState,
+    moves: &[Option<ActionId>],
+    time: Time,
+) -> Vec<(SimpleState, Rational)> {
+    let mut out = Vec::new();
+    model.transition(state, moves, time, &mut out);
+    out
+}
+
 /// A random move table over small key ranges, with duplicate keys injected
 /// (later duplicates carry a *different* distribution so a wrong pick is
 /// caught, not masked).
@@ -85,7 +109,7 @@ fn index_agrees_with_linear_scan_on_random_tables() {
             for local in 0..5u64 {
                 for time in 0..5u32 {
                     let got: Vec<(Option<ActionId>, Rational)> =
-                        model.moves(AgentId(agent), &local, time);
+                        moves_of(&model, agent, local, time);
                     let want = linear_moves(&model, agent, local, time);
                     assert_eq!(got, want, "seed {seed}: moves({agent}, {local}, {time})");
                 }
@@ -95,7 +119,7 @@ fn index_agrees_with_linear_scan_on_random_tables() {
             for time in 0..5u32 {
                 let state = SimpleState::new(env, vec![1, 2, 3]);
                 let got: Vec<(SimpleState, Rational)> =
-                    model.transition(&state, &[None, None, None], time);
+                    transition_of(&model, &state, &[None, None, None], time);
                 let got: Vec<SimpleState> = got.into_iter().map(|(s, _)| s).collect();
                 let want = linear_transition(&model, &state, time);
                 assert_eq!(got, want, "seed {seed}: transition(env={env}, {time})");
@@ -122,10 +146,10 @@ fn duplicate_entries_resolve_to_first_occurrence() {
         ],
         ..TableModel::default()
     };
-    let mv: Vec<(Option<ActionId>, Rational)> = model.moves(AgentId(0), &0, 0);
+    let mv: Vec<(Option<ActionId>, Rational)> = moves_of(&model, 0, 0, 0);
     assert_eq!(mv[0].0, Some(ActionId(7)));
     let tr: Vec<(SimpleState, Rational)> =
-        model.transition(&SimpleState::new(0, vec![0]), &[None], 0);
+        transition_of(&model, &SimpleState::new(0, vec![0]), &[None], 0);
     assert_eq!(tr[0].0.env, 1);
     // And positions, straight from the index.
     assert_eq!(model.index().move_entry(0, 0, 0), Some(0));
@@ -145,11 +169,11 @@ fn absent_entries_fall_back_to_skip_and_stay() {
     assert_eq!(model.index().move_entry(0, 9, 0), None);
     assert_eq!(model.index().transition_entry(5, 1), None);
     // Absent move entry → deterministic skip.
-    let mv: Vec<(Option<ActionId>, Rational)> = model.moves(AgentId(0), &9, 0);
+    let mv: Vec<(Option<ActionId>, Rational)> = moves_of(&model, 0, 9, 0);
     assert_eq!(mv, vec![(None, Rational::one())]);
     // Absent transition entry → state copied unchanged.
     let state = SimpleState::new(5, vec![3]);
-    let tr: Vec<(SimpleState, Rational)> = model.transition(&state, &[None], 1);
+    let tr: Vec<(SimpleState, Rational)> = transition_of(&model, &state, &[None], 1);
     assert_eq!(tr, vec![(state, Rational::one())]);
 }
 
@@ -192,7 +216,7 @@ fn invalidated_index_agrees_with_linear_scan_after_mutation() {
             for local in 0..5u64 {
                 for time in 0..5u32 {
                     let got: Vec<(Option<ActionId>, Rational)> =
-                        model.moves(AgentId(agent), &local, time);
+                        moves_of(&model, agent, local, time);
                     assert_eq!(
                         got,
                         linear_moves(&model, agent, local, time),
@@ -245,7 +269,7 @@ fn invalidated_index_agrees_with_linear_scan_after_mutation() {
             for local in 0..5u64 {
                 for time in 0..5u32 {
                     let got: Vec<(Option<ActionId>, Rational)> =
-                        model.moves(AgentId(agent), &local, time);
+                        moves_of(&model, agent, local, time);
                     assert_eq!(
                         got,
                         linear_moves(&model, agent, local, time),
@@ -257,29 +281,15 @@ fn invalidated_index_agrees_with_linear_scan_after_mutation() {
         for env in 0..7u64 {
             for time in 0..6u32 {
                 let state = SimpleState::new(env, vec![1, 2, 3]);
-                let got: Vec<SimpleState> = model
-                    .transition(&state, &[None, None, None], time)
-                    .into_iter()
-                    .map(|(s, _)| s)
-                    .collect();
+                let got: Vec<SimpleState> =
+                    transition_of(&model, &state, &[None, None, None], time)
+                        .into_iter()
+                        .map(|(s, _)| s)
+                        .collect();
                 assert_eq!(
                     got,
                     linear_transition(&model, &state, time),
                     "seed {seed}: post-mutation transition(env={env}, {time})"
-                );
-            }
-        }
-
-        // The `_into` path consults the same rebuilt index.
-        let mut buf: Vec<(Option<ActionId>, Rational)> = Vec::new();
-        for agent in 0..4u32 {
-            for local in 0..5u64 {
-                buf.clear();
-                model.moves_into(AgentId(agent), &local, 0, &mut buf);
-                assert_eq!(
-                    buf,
-                    linear_moves(&model, agent, local, 0),
-                    "seed {seed}: post-mutation moves_into({agent}, {local}, 0)"
                 );
             }
         }
