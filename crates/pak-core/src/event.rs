@@ -156,11 +156,17 @@ impl RunSet {
     /// reusing the block allocation. Equivalent to `*self =
     /// RunSet::empty(universe)` without the round-trip through the
     /// allocator — the incremental extension repair resets every retained
-    /// cell's run-set each level, where that round-trip adds up.
+    /// cell's run-set each level, where that round-trip adds up. A
+    /// universe that outgrows the allocation gets twice the blocks it
+    /// needs, since growing trees usually grow again at the next level.
     pub fn reset(&mut self, universe: usize) {
         self.universe = universe;
         self.blocks.clear();
-        self.blocks.resize(universe.div_ceil(64), 0);
+        let words = universe.div_ceil(64);
+        if words > self.blocks.capacity() {
+            self.blocks.reserve_exact(2 * words);
+        }
+        self.blocks.resize(words, 0);
     }
 
     /// Removes a run from the event.

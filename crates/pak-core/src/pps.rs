@@ -9,8 +9,9 @@
 //! probabilities along a run defines the prior measure `µ_T` over runs.
 //!
 //! [`Pps`] is the immutable, validated, fully indexed form: construction
-//! goes through [`PpsBuilder`], which checks the probabilistic and
-//! structural invariants and precomputes
+//! goes through [`PpsBuilder`] (and, level by level, [`PpsExtender`]),
+//! which checks the probabilistic and structural invariants and
+//! precomputes
 //!
 //! * the run table (paths, probabilities),
 //! * per-node run intervals (runs through a node are contiguous in DFS
@@ -25,24 +26,29 @@
 //! [`StatePool`] owned by the system, and nodes carry
 //! copyable [`StateId`]s. The by-value builder API
 //! ([`PpsBuilder::initial`], [`PpsBuilder::child`]) interns transparently;
-//! hot paths such as the protocol unfolder intern once via
-//! [`PpsBuilder::intern`] and pass ids through
-//! [`PpsBuilder::initial_interned`] / [`PpsBuilder::child_interned`],
-//! avoiding every per-node state clone.
+//! hot paths such as the protocol unfolder intern once
+//! ([`PpsBuilder::intern`], [`PpsExtender::intern`]) and pass ids through
+//! the `_interned` / `append_*` methods, avoiding every per-node state
+//! clone.
 //!
 //! # The build pass
 //!
-//! [`PpsBuilder::build`] applies the same scaling discipline to
-//! validation and indexing: distribution sums are validated once per
-//! distinct memoized expansion when the unfolder marks replays
-//! ([`PpsBuilder::mark_children_shared`]); runs live in one flat node
-//! arena ([`Pps::nodes_of`] borrows a slice, no per-run allocation);
-//! information-set cells are keyed by per-agent interned
-//! [`LocalId`]s (no `G::Local` clone or hash per
+//! [`PpsBuilder::build`] validates and indexes a hand-built tree in one
+//! pass: runs live in one flat node arena ([`Pps::nodes_of`] borrows a
+//! slice, no per-run allocation); information-set cells are keyed by
+//! per-agent interned [`LocalId`]s (no `G::Local` clone or hash per
 //! node) with run-sets filled a word at a time from each node's
 //! contiguous run interval.
+//!
+//! # Level-by-level growth
+//!
+//! Unfolded trees are grown instead: the protocol unfolder builds only
+//! the prior through [`PpsBuilder`] and then appends one level at a
+//! time through a [`PpsExtender`], which validates each level and
+//! repairs the derived indexes in place. Both routes produce the same
+//! system for the same node order.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use crate::error::PpsError;
 use crate::event::RunSet;
@@ -71,11 +77,7 @@ pub(crate) struct NodeTable<P> {
     depths: Vec<u32>,
     /// Probability of the edge from the parent (`1` for the root), as an
     /// id into the `probs` pool. Replayed expansion children *share*
-    /// their template's entry — no per-node clone — which also gives the
-    /// build pass a cheap notion of edge identity: run-prefix products
-    /// are memoized per distinct `(prefix, edge id)` pair, so exact
-    /// multiplication runs once per distinct product instead of once per
-    /// node (see `from_parts`).
+    /// their template's entry, so a replay clones no probability.
     edge_prob_ids: Vec<u32>,
     /// The edge-probability pool behind `edge_prob_ids` (append-only;
     /// deduplication comes from replays sharing ids, not from value
@@ -133,28 +135,13 @@ impl<P: Probability> NodeTable<P> {
         let lo = self.action_data.len() as u32;
         self.action_data.extend_from_slice(actions);
         let range = (lo, self.action_data.len() as u32);
-        let prob_id = self.probs.len() as u32;
-        self.probs.push(edge_prob);
-        self.push_shared(parent, state, depth, prob_id, range)
-    }
-
-    /// Appends a node referencing existing pool entries (replayed
-    /// expansions share their representative's probability and actions —
-    /// zero copies, zero clones).
-    fn push_shared(
-        &mut self,
-        parent: NodeId,
-        state: StateId,
-        depth: u32,
-        prob_id: u32,
-        action_range: (u32, u32),
-    ) -> NodeId {
         let id = NodeId(self.parents.len() as u32);
         self.parents.push(parent);
         self.states.push(Some(state));
         self.depths.push(depth);
-        self.edge_prob_ids.push(prob_id);
-        self.action_ranges.push(action_range);
+        self.edge_prob_ids.push(self.probs.len() as u32);
+        self.probs.push(edge_prob);
+        self.action_ranges.push(range);
         id
     }
 
@@ -278,8 +265,12 @@ pub struct Pps<G: GlobalState, P: Probability> {
     /// Prior probability `µ_T(r)` per run: product of edge probabilities
     /// from the root to the leaf.
     run_probs: Vec<P>,
-    /// `cell_of[agent][node − 1]` is the cell of the (non-root) node.
+    /// `cell_of[agent][node − 1]` is the cell of the (non-root) node,
+    /// counted from the agent's first cell.
     cell_of: Vec<Vec<CellId>>,
+    /// Cells are grouped by agent: agent `a` owns
+    /// `cells[first_cell[a]..first_cell[a + 1]]`.
+    first_cell: Vec<u32>,
     cells: Vec<Cell<G::Local>>,
     /// Optional human-readable action names for diagnostics.
     action_names: HashMap<ActionId, String>,
@@ -833,7 +824,8 @@ impl<G: GlobalState, P: Probability> Pps<G, P> {
     #[must_use]
     pub fn cell_at(&self, agent: AgentId, point: Point) -> Option<CellId> {
         let node = self.node_at(point.run, point.time)?;
-        Some(self.cell_of[agent.index()][node.index() - 1])
+        let local = self.cell_of[agent.index()][node.index() - 1];
+        Some(CellId(self.first_cell[agent.index()] + local.0))
     }
 
     /// The full (synchronous) local state of `agent` at `point`.
@@ -892,19 +884,11 @@ impl<G: GlobalState, P: Probability> Pps<G, P> {
     // ------------------------------------------------------------------
 
     /// Internal: builds the validated system from raw builder parts.
-    ///
-    /// `expansion_of[n]`, when set, marks node `n`'s children as a replay
-    /// of the memoized unfolder expansion keyed `(state, time)` (see
-    /// [`PpsBuilder::mark_children_shared`]): the outgoing distribution is
-    /// validated once per distinct key instead of once per node. Unmarked
-    /// nodes — every node of a hand-built tree — take the per-node
-    /// exact-sum path.
     pub(crate) fn from_parts(
         n_agents: u32,
         pool: StatePool<G>,
         raw_nodes: NodeTable<P>,
         action_names: HashMap<ActionId, String>,
-        expansion_of: &[Option<(StateId, Time)>],
     ) -> Result<Self, PpsError> {
         // The builder's nodes are adopted as-is (no conversion pass);
         // children are gathered into the flat arena by counting sort
@@ -921,38 +905,11 @@ impl<G: GlobalState, P: Probability> Pps<G, P> {
 
         // Validate distributions: every internal node's children sum to one.
         // (Per-edge positivity and the ≤ 1 bound are enforced at insertion
-        // time by the builder.) Nodes marked as replays of a memoized
-        // expansion carry clones of the same successor probabilities, so
-        // the exact sum is computed once per distinct `(state, time)` key —
-        // O(distinct expansions), not O(nodes) — with the representative's
-        // child count remembered as a guard: a marked node whose arity
-        // disagrees with its representative fell out of the contract and is
-        // validated individually. The memo (a [`KeyIndex`] over
-        // `state × time`) is only allocated when marks exist at all —
-        // hand-built trees skip it entirely.
-        let mut validated = expansion_of
-            .iter()
-            .any(Option::is_some)
-            .then(|| KeyIndex::new(pool.len(), max_depth));
+        // time by the builder.)
         for i in 0..nodes.len() {
             let children = children_of(i);
             if children.is_empty() {
                 continue;
-            }
-            if let (Some(validated), Some(Some((state, time)))) =
-                (validated.as_mut(), expansion_of.get(i).copied())
-            {
-                // Out-of-range keys (foreign state id, bogus time) simply
-                // miss the memo and validate per-node.
-                if state.index() < pool.len() && (time as usize) < max_depth {
-                    let arity = validated.get(state.index(), time as usize);
-                    if arity == children.len() as u32 {
-                        continue;
-                    }
-                    if arity == INDEX_NONE {
-                        validated.set(state.index(), time as usize, children.len() as u32);
-                    }
-                }
             }
             // A single (deterministic) child must carry probability one
             // exactly; only branching nodes need the accumulator loop.
@@ -1049,12 +1006,12 @@ impl<G: GlobalState, P: Probability> Pps<G, P> {
         let n_runs = run_probs.len();
         run_ranges[0] = (0, n_runs as u32);
 
-        // Build local-state cells, one pass per agent, offsetting each
-        // agent's dense local cell ids by the cells already emitted.
+        // Build local-state cells, one pass per agent.
         let mut cells: Vec<Cell<G::Local>> = Vec::new();
         let mut cell_of: Vec<Vec<CellId>> = Vec::with_capacity(n_agents as usize);
+        let mut first_cell: Vec<u32> = Vec::with_capacity(n_agents as usize + 1);
         for a in 0..n_agents {
-            let mut agent_cells = build_agent_cells(
+            let agent_cells = build_agent_cells(
                 AgentId(a),
                 &pool,
                 &nodes.states,
@@ -1063,14 +1020,11 @@ impl<G: GlobalState, P: Probability> Pps<G, P> {
                 n_runs,
                 max_depth,
             );
-            let offset = cells.len() as u32;
+            first_cell.push(cells.len() as u32);
             cells.extend(agent_cells.cells);
-            // Remap the agent-local dense ids in place — no reallocation.
-            for c in &mut agent_cells.cell_of {
-                c.0 += offset;
-            }
             cell_of.push(agent_cells.cell_of);
         }
+        first_cell.push(cells.len() as u32);
 
         Ok(Pps {
             n_agents,
@@ -1083,6 +1037,7 @@ impl<G: GlobalState, P: Probability> Pps<G, P> {
             run_offsets,
             run_probs,
             cell_of,
+            first_cell,
             cells,
             action_names,
         })
@@ -1233,8 +1188,6 @@ pub struct PpsBuilder<G: GlobalState, P: Probability> {
     n_agents: u32,
     pool: StatePool<G>,
     nodes: NodeTable<P>,
-    /// Parallel to `nodes`: [`PpsBuilder::mark_children_shared`] marks.
-    expansion_of: Vec<Option<(StateId, Time)>>,
     action_names: HashMap<ActionId, String>,
 }
 
@@ -1246,7 +1199,6 @@ impl<G: GlobalState, P: Probability> PpsBuilder<G, P> {
             n_agents,
             pool: StatePool::new(),
             nodes: NodeTable::new_root(),
-            expansion_of: vec![None],
             action_names: HashMap::new(),
         }
     }
@@ -1350,101 +1302,6 @@ impl<G: GlobalState, P: Probability> PpsBuilder<G, P> {
         self
     }
 
-    /// Adds a successor of `parent` that *replays* the previously inserted
-    /// node `template`: same interned state, same edge probability, same
-    /// action labels (shared by reference into the actions arena — no
-    /// copy). Returns the new node's id.
-    ///
-    /// This is the fast path for the unfolder's memoized expansions: every
-    /// per-edge invariant (positive probability, ≤ 1, action
-    /// well-formedness) was checked when `template` was first inserted
-    /// through [`PpsBuilder::child_interned`], so the replay skips
-    /// re-checking and re-copying. Combine with
-    /// [`PpsBuilder::mark_children_shared`] to also skip the per-node
-    /// distribution sum at build time.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `template` is the root or not a node of this builder, or
-    /// if `parent` is not a node of this builder.
-    pub fn child_replayed(&mut self, parent: NodeId, template: NodeId) -> NodeId {
-        assert!(parent.index() < self.nodes.len(), "unknown parent {parent}");
-        let state = self.nodes.states[template.index()].expect("template must not be the root");
-        let prob_id = self.nodes.edge_prob_ids[template.index()];
-        let action_range = self.nodes.action_ranges[template.index()];
-        let depth = self.nodes.depths[parent.index()] + 1;
-        let id = self
-            .nodes
-            .push_shared(parent, state, depth, prob_id, action_range);
-        self.expansion_of.push(None);
-        id
-    }
-
-    /// Bulk sibling of [`PpsBuilder::child_replayed`]: appends `count`
-    /// successors of `parent` replaying the *contiguous* run of template
-    /// nodes starting at `first_template` (the shape every memoized
-    /// unfolder expansion has — its children were inserted back to back).
-    /// Column segments are copied wholesale instead of one interleaved
-    /// push per child, and states, edge probabilities, and action labels
-    /// are shared from the templates by id — no clones, no re-validation.
-    ///
-    /// Returns the id of the first appended child; the remaining
-    /// `count − 1` follow consecutively, with ids, order, and contents
-    /// identical to `count` individual [`PpsBuilder::child_replayed`]
-    /// calls on `first_template`, `first_template + 1`, ….
-    ///
-    /// # Panics
-    ///
-    /// Panics if `parent` is not a node of this builder, the template
-    /// range is out of bounds, or it touches the root.
-    pub fn children_replayed(
-        &mut self,
-        parent: NodeId,
-        first_template: NodeId,
-        count: usize,
-    ) -> NodeId {
-        assert!(parent.index() < self.nodes.len(), "unknown parent {parent}");
-        assert!(
-            first_template != NodeId::ROOT || count == 0,
-            "templates must not include the root"
-        );
-        assert!(
-            first_template.index() + count <= self.nodes.len(),
-            "template range out of bounds"
-        );
-        let id = self
-            .nodes
-            .replay_range(parent, first_template.index(), count);
-        self.expansion_of
-            .resize(self.expansion_of.len() + count, None);
-        id
-    }
-
-    /// Declares that the children of `node` replay a memoized expansion
-    /// identified by `(state, time)` — the protocol unfolder calls this
-    /// after emitting a node's successors from its `(state, time)` memo.
-    ///
-    /// [`PpsBuilder::build`] then validates the outgoing distribution of
-    /// *one* node per distinct key and reuses the verdict for the rest,
-    /// making validation O(distinct expansions) instead of O(nodes).
-    ///
-    /// # Contract
-    ///
-    /// Marking asserts that every node marked with the same key carries
-    /// clones of one identical `(probability, …)` successor list — true by
-    /// construction for the unfolder's memo replays — and that no child is
-    /// added to a marked node outside that list. Marks are an optimisation
-    /// hint only: hand-built trees never mark and always take the per-node
-    /// exact-sum path, and a marked node whose child count disagrees with
-    /// its key's representative is demoted to per-node validation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` does not belong to this builder.
-    pub fn mark_children_shared(&mut self, node: NodeId, state: StateId, time: Time) {
-        self.expansion_of[node.index()] = Some((state, time));
-    }
-
     fn push_node(
         &mut self,
         parent: NodeId,
@@ -1475,7 +1332,6 @@ impl<G: GlobalState, P: Probability> PpsBuilder<G, P> {
         }
         let depth = self.nodes.depths[parent.index()] + 1;
         self.nodes.push(parent, state, depth, prob, actions);
-        self.expansion_of.push(None);
         Ok(id)
     }
 
@@ -1487,13 +1343,7 @@ impl<G: GlobalState, P: Probability> PpsBuilder<G, P> {
     /// [`PpsError::BadDistribution`] if any internal node's outgoing
     /// probabilities do not sum to one.
     pub fn build(self) -> Result<Pps<G, P>, PpsError> {
-        Pps::from_parts(
-            self.n_agents,
-            self.pool,
-            self.nodes,
-            self.action_names,
-            &self.expansion_of,
-        )
+        Pps::from_parts(self.n_agents, self.pool, self.nodes, self.action_names)
     }
 }
 
@@ -1503,26 +1353,28 @@ impl<G: GlobalState, P: Probability> Default for PpsBuilder<G, P> {
             n_agents: 1,
             pool: StatePool::new(),
             nodes: NodeTable::new_root(),
-            expansion_of: vec![None],
             action_names: HashMap::new(),
         }
     }
 }
 
 /// Append-only growth of a finished [`Pps`], one frontier level at a
-/// time — the chassis of incremental horizon extension
-/// (`Unfolder::extend_horizon` in `pak-protocol`).
+/// time — how every unfolded tree is built (`Unfolder` in
+/// `pak-protocol` seeds the prior through [`PpsBuilder`] and grows every
+/// later level here).
 ///
 /// A finished system is immutable; the extender owns one and re-opens it
 /// for strictly append-shaped edits through a level protocol:
 /// [`PpsExtender::begin_level`] opens a level, [`PpsExtender::append_child`]
-/// / [`PpsExtender::append_children_replayed`] add children under leaves of
-/// the current maximal depth (each parent's children in one contiguous
-/// block), and [`PpsExtender::commit_level`] validates the new
-/// distributions and *incrementally repairs* every derived index:
+/// / [`PpsExtender::append_replay`] add children under leaves of
+/// the current maximal depth (parents in ascending id order, each
+/// parent's children in one contiguous block), and
+/// [`PpsExtender::commit_level`] validates the new distributions and
+/// *incrementally repairs* every derived index:
 ///
-/// * the child arena is rebuilt by the same counting sort the build pass
-///   uses (the parent column is its only input);
+/// * the child arena gains the new blocks; when the tree is in level
+///   order they simply append, otherwise (a hand-built tree in another
+///   node order) it is rebuilt by the counting sort the build pass uses;
 /// * runs are re-rooted at the old leaves — an unextended run's path and
 ///   probability move over verbatim, an extended run becomes one run per
 ///   appended child with the old probability (the from-scratch prefix
@@ -1537,94 +1389,88 @@ impl<G: GlobalState, P: Probability> Default for PpsBuilder<G, P> {
 ///   old cell — spliced per agent behind that agent's existing cells, and
 ///   every old cell's run-set is refilled from its members' renumbered
 ///   intervals (canonical bitsets, so the widened sets are bit-identical
-///   to freshly built ones). The per-agent [`LocalPool`]s are retained
-///   across levels, so local ids keep their first-appearance order.
+///   to freshly built ones). New cells are ordered by the first new node
+///   of each local state, as the build pass orders them.
 ///
-/// The result after each commit is **bit-identical** to what a
-/// from-scratch build of the grown tree would produce — same pool ids,
-/// node order, run arena, probabilities, and cells — provided the grown
-/// tree appends level by level (the order the level-order unfolder
-/// emits). The differential harness enforces this contract.
+/// The result after each commit is **bit-identical** to what
+/// [`PpsBuilder::build`] produces for the grown tree with the same node
+/// order — same pool ids, run arena, probabilities, and cells. The
+/// differential harness enforces this contract.
 ///
 /// [`PpsExtender::abort_level`] (or a failed commit) unwinds the open
 /// level completely; the retained system stays valid and queryable.
 #[derive(Debug, Clone)]
 pub struct PpsExtender<G: GlobalState, P: Probability> {
     pps: Pps<G, P>,
-    /// Per-agent local pools, kept alive across levels so new local
-    /// states intern in the same first-appearance order the original
-    /// cell pass established.
+    /// Per-agent local pools, kept alive across levels. A local id only
+    /// keys the new level's cells while they are bucketed, so ids need
+    /// not match the build pass's.
     locals: Vec<LocalPool<G::Local>>,
-    /// `local_of[agent][sid]`, extended lazily as the state pool grows.
+    /// `local_of[agent][sid]`, extended at each commit as the state pool
+    /// grows.
     local_of: Vec<Vec<LocalId>>,
-    /// How many cells each agent currently owns (cells are grouped by
-    /// agent), for splicing new cells behind each agent's block.
-    agent_cell_counts: Vec<usize>,
     /// Depth of the current leaf frontier — the maximal depth in the
     /// table; extended parents must sit exactly there.
     frontier_depth: u32,
-    level: Option<LevelState>,
+    /// Rollback watermarks of the open level, if one is open.
+    level: Option<Watermarks>,
+    /// The open level's appended child blocks, in ascending parent order.
+    entries: Vec<LevelEntry>,
+    // Buffers each commit reuses instead of reallocating; empty between
+    // commits except for their capacity.
+    /// Old run → first new run.
+    run_map: Vec<u32>,
+    /// `(first, count)` of the blocks whose sums this commit checked.
+    checked: Vec<(u32, u32)>,
+    /// One agent's new cells while they are assembled.
+    new_cells: Vec<Cell<G::Local>>,
+    /// `slot_of[local]`: the new cell of a local id in `new_cells`, or
+    /// [`INDEX_NONE`].
+    slot_of: Vec<u32>,
 }
 
-/// One extended parent's appended child block, in extension order:
-/// `(parent, first child, count, expansion mark)`.
-type LevelEntry = (NodeId, u32, u32, Option<(StateId, Time)>);
+/// One extended parent's appended child block.
+#[derive(Debug, Clone, Copy)]
+struct LevelEntry {
+    parent: NodeId,
+    /// The block's first child; the rest follow consecutively.
+    first: u32,
+    count: u32,
+    /// The first template node of a block appended whole by
+    /// [`PpsExtender::append_replay`], which repeats the
+    /// template range's edge probabilities id for id.
+    template: Option<u32>,
+}
 
-/// Bookkeeping for one open extension level.
-#[derive(Debug, Clone)]
-struct LevelState {
-    /// Rollback watermarks, recorded at `begin_level`.
-    old_nodes: usize,
-    old_probs: usize,
-    old_actions: usize,
-    old_pool: usize,
-    /// Appended children per extended parent; see [`LevelEntry`].
-    entries: Vec<LevelEntry>,
-    /// Whether every parent so far arrived in strictly increasing id
-    /// order — the order the level-order unfolder extends in. While this
-    /// holds, a new parent greater than the last one provably has no
-    /// earlier block, so the contiguity check is a single comparison and
-    /// `closed` stays empty; it also certifies the shape the incremental
-    /// child-arena append relies on.
-    in_order: bool,
-    /// Parents whose child block has ended — appending to one again
-    /// would break the contiguity the run repair relies on. Populated
-    /// lazily, only once a parent arrives out of order.
-    closed: HashSet<u32, FxBuildHasher>,
+/// Table lengths at [`PpsExtender::begin_level`], which an aborted level
+/// truncates back to.
+#[derive(Debug, Clone, Copy)]
+struct Watermarks {
+    nodes: usize,
+    probs: usize,
+    actions: usize,
+    pool: usize,
 }
 
 impl<G: GlobalState, P: Probability> PpsExtender<G, P> {
-    /// Wraps a finished system for incremental growth. The per-agent
-    /// local pools are re-derived from the state pool in id order —
-    /// exactly the interning order the original cell pass used.
+    /// Wraps a finished system for incremental growth.
     #[must_use]
     pub fn new(pps: Pps<G, P>) -> Self {
         let n_agents = pps.n_agents as usize;
-        let mut locals = Vec::with_capacity(n_agents);
-        let mut local_of = Vec::with_capacity(n_agents);
-        for a in 0..pps.n_agents {
-            let agent = AgentId(a);
-            let mut pool: LocalPool<G::Local> = LocalPool::default();
-            let of: Vec<LocalId> = pps
-                .pool
-                .iter()
-                .map(|(_, state)| pool.intern(state.local(agent)))
-                .collect();
-            locals.push(pool);
-            local_of.push(of);
-        }
-        let mut agent_cell_counts = vec![0usize; n_agents];
-        for cell in &pps.cells {
-            agent_cell_counts[cell.agent.index()] += 1;
-        }
+        let locals = (0..n_agents).map(|_| LocalPool::default()).collect();
+        let local_of = vec![Vec::new(); n_agents];
         let frontier_depth = pps.nodes.depths.iter().copied().max().unwrap_or(0);
         PpsExtender {
             pps,
             locals,
             local_of,
-            agent_cell_counts,
             frontier_depth,
             level: None,
+            entries: Vec::new(),
+            run_map: Vec::new(),
+            checked: Vec::new(),
+            new_cells: Vec::new(),
+            slot_of: Vec::new(),
         }
     }
 
@@ -1656,7 +1502,7 @@ impl<G: GlobalState, P: Probability> PpsExtender<G, P> {
 
     /// Opens an extension level: records the rollback watermarks and
     /// admits [`PpsExtender::append_child`] /
-    /// [`PpsExtender::append_children_replayed`] calls until
+    /// [`PpsExtender::append_replay`] calls until
     /// [`PpsExtender::commit_level`] or [`PpsExtender::abort_level`].
     ///
     /// # Panics
@@ -1664,15 +1510,13 @@ impl<G: GlobalState, P: Probability> PpsExtender<G, P> {
     /// Panics if a level is already open.
     pub fn begin_level(&mut self) {
         assert!(self.level.is_none(), "begin_level: a level is already open");
-        self.level = Some(LevelState {
-            old_nodes: self.pps.nodes.len(),
-            old_probs: self.pps.nodes.probs.len(),
-            old_actions: self.pps.nodes.action_data.len(),
-            old_pool: self.pps.pool.len(),
-            entries: Vec::new(),
-            in_order: true,
-            closed: HashSet::default(),
+        self.level = Some(Watermarks {
+            nodes: self.pps.nodes.len(),
+            probs: self.pps.nodes.probs.len(),
+            actions: self.pps.nodes.action_data.len(),
+            pool: self.pps.pool.len(),
         });
+        self.entries.clear();
     }
 
     /// Interns a global state into the retained pool (rolled back if the
@@ -1702,8 +1546,8 @@ impl<G: GlobalState, P: Probability> PpsExtender<G, P> {
 
     /// Appends a child of frontier leaf `parent` — the extension sibling
     /// of [`PpsBuilder::child_interned`], with the same per-edge
-    /// validation. All of a parent's children must be appended in one
-    /// contiguous block.
+    /// validation. Parents must arrive in ascending id order, and all of
+    /// a parent's children must be appended in one contiguous block.
     ///
     /// # Errors
     ///
@@ -1714,7 +1558,8 @@ impl<G: GlobalState, P: Probability> PpsExtender<G, P> {
     ///
     /// Panics if no level is open, `parent` is not a pre-level node, is
     /// the root, is not at the frontier depth, already had children
-    /// before the level, or was already extended earlier in this level.
+    /// before the level, or is below the last parent extended in this
+    /// level.
     pub fn append_child(
         &mut self,
         parent: NodeId,
@@ -1743,28 +1588,29 @@ impl<G: GlobalState, P: Probability> PpsExtender<G, P> {
                 return Err(PpsError::DuplicateAgentAction { node: id, agent });
             }
         }
-        self.note_extension(parent, 1);
+        self.note_extension(parent, 1, None);
         let depth = self.frontier_depth + 1;
         self.pps.nodes.push(parent, state, depth, prob, actions);
         Ok(id)
     }
 
     /// Bulk-appends `count` children of frontier leaf `parent` replaying
-    /// the contiguous template range starting at `first_template` — the
-    /// extension sibling of [`PpsBuilder::children_replayed`]. Returns
-    /// the id of the first appended child.
+    /// the contiguous template range starting at `first_template`: each
+    /// child shares its template's state, edge probability and action
+    /// labels by id, with no per-edge check or copy. Returns the id of the
+    /// first appended child.
     ///
     /// # Panics
     ///
     /// As [`PpsExtender::append_child`] for `parent`, plus if the
     /// template range is empty, out of bounds, or touches the root.
-    pub fn append_children_replayed(
+    pub fn append_replay(
         &mut self,
         parent: NodeId,
         first_template: NodeId,
         count: usize,
     ) -> NodeId {
-        assert!(count > 0, "append_children_replayed: empty template range");
+        assert!(count > 0, "append_replay: empty template range");
         assert!(
             first_template != NodeId::ROOT,
             "templates must not include the root"
@@ -1773,51 +1619,39 @@ impl<G: GlobalState, P: Probability> PpsExtender<G, P> {
             first_template.index() + count <= self.pps.nodes.len(),
             "template range out of bounds"
         );
-        self.note_extension(parent, count as u32);
+        self.note_extension(parent, count as u32, Some(first_template.0));
         self.pps
             .nodes
             .replay_range(parent, first_template.index(), count)
     }
 
-    /// Declares that the children just appended under `node` replay the
-    /// memoized expansion keyed `(state, time)` — the extension sibling
-    /// of [`PpsBuilder::mark_children_shared`], with the same contract:
-    /// [`PpsExtender::commit_level`] validates the outgoing distribution
-    /// of one node per distinct key and reuses the verdict for the rest.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no level is open or `node` is not the most recently
-    /// extended parent.
-    pub fn mark_level_children_shared(&mut self, node: NodeId, state: StateId, time: Time) {
-        let level = self
-            .level
-            .as_mut()
-            .expect("mark_level_children_shared outside an open level");
-        let entry = level
-            .entries
-            .last_mut()
-            .expect("mark_level_children_shared before any children");
-        assert_eq!(
-            entry.0, node,
-            "mark_level_children_shared: mark must follow the node's children"
-        );
-        entry.3 = Some((state, time));
-    }
-
     /// Validates `parent` as an extendable frontier leaf and records
     /// `count` children appended under it (contiguity bookkeeping).
-    fn note_extension(&mut self, parent: NodeId, count: u32) {
+    fn note_extension(&mut self, parent: NodeId, count: u32, template: Option<u32>) {
         let level = self
             .level
-            .as_mut()
             .expect("appending children outside an open level");
+        if let Some(entry) = self.entries.last_mut() {
+            if entry.parent == parent {
+                // Continuing the open block: `parent` passed the checks
+                // below when the block began. The block no longer mirrors
+                // one template range.
+                entry.count += count;
+                entry.template = None;
+                return;
+            }
+            assert!(
+                parent > entry.parent,
+                "parent {parent} extended after parent {}: parents must ascend",
+                entry.parent
+            );
+        }
         assert!(
             parent != NodeId::ROOT,
             "cannot extend the root — initial states are fixed at build time"
         );
         assert!(
-            parent.index() < level.old_nodes,
+            parent.index() < level.nodes,
             "extended parent {parent} was appended in this level"
         );
         assert_eq!(
@@ -1830,34 +1664,12 @@ impl<G: GlobalState, P: Probability> PpsExtender<G, P> {
             self.pps.child_offsets[parent.index() + 1],
             "extended parent {parent} already has children"
         );
-        let first = self.pps.nodes.len() as u32;
-        match level.entries.last_mut() {
-            Some(entry) if entry.0 == parent => entry.2 += count,
-            _ => {
-                match level.entries.last() {
-                    Some(&(prev, ..)) if level.in_order && parent.0 > prev.0 => {
-                        // Strictly increasing: `parent` cannot have an
-                        // earlier block, no bookkeeping needed.
-                    }
-                    Some(&(prev, ..)) => {
-                        if level.in_order {
-                            // First out-of-order parent: materialise the
-                            // closed set the fast path skipped.
-                            level.in_order = false;
-                            level.closed.extend(level.entries.iter().map(|e| e.0 .0));
-                        } else {
-                            level.closed.insert(prev.0);
-                        }
-                        assert!(
-                            !level.closed.contains(&parent.0),
-                            "parent {parent} extended non-contiguously"
-                        );
-                    }
-                    None => {}
-                }
-                level.entries.push((parent, first, count, None));
-            }
-        }
+        self.entries.push(LevelEntry {
+            parent,
+            first: self.pps.nodes.len() as u32,
+            count,
+            template,
+        });
     }
 
     /// Discards the open level: appended nodes, their arena entries, and
@@ -1871,8 +1683,8 @@ impl<G: GlobalState, P: Probability> PpsExtender<G, P> {
         let level = self.level.take().expect("abort_level: no level open");
         self.pps
             .nodes
-            .truncate(level.old_nodes, level.old_probs, level.old_actions);
-        self.pps.pool.truncate(level.old_pool);
+            .truncate(level.nodes, level.probs, level.actions);
+        self.pps.pool.truncate(level.pool);
     }
 
     /// Validates the open level and repairs every derived index (see the
@@ -1889,86 +1701,65 @@ impl<G: GlobalState, P: Probability> PpsExtender<G, P> {
     ///
     /// Panics if no level is open.
     pub fn commit_level(&mut self) -> Result<(), PpsError> {
-        // ---- Validation: distribution sums, memoized by mark key (the
-        // same one-check-per-distinct-expansion discipline as the build
-        // pass). Nothing is mutated before validation passes.
-        let mut bad: Option<(NodeId, f64)> = None;
-        {
-            let level = self.level.as_ref().expect("commit_level: no level open");
-            if level.entries.is_empty() {
-                // An empty level is a no-op; abort to unwind any states
-                // interned without a node.
-                self.abort_level();
-                return Ok(());
-            }
-            let mut seen: HashMap<(StateId, Time), u32, FxBuildHasher> = HashMap::default();
-            for &(parent, first, count, mark) in &level.entries {
-                if let Some(key) = mark {
-                    match seen.get(&key) {
-                        Some(&arity) if arity == count => continue,
-                        Some(_) => {}
-                        None => {
-                            seen.insert(key, count);
-                        }
-                    }
-                }
-                // Same single-child specialisation as the build pass: a
-                // deterministic edge must be exactly one, no sum needed.
-                if count == 1 {
-                    let p = self.pps.nodes.edge_prob(first as usize);
-                    if !p.is_one() {
-                        bad = Some((parent, p.to_f64()));
-                        break;
-                    }
-                    continue;
-                }
-                let mut sum = P::zero();
-                for child in first..first + count {
-                    sum.add_assign(self.pps.nodes.edge_prob(child as usize));
-                }
-                if !sum.is_one() {
-                    bad = Some((parent, sum.to_f64()));
-                    break;
-                }
-            }
+        let level = self.level.expect("commit_level: no level open");
+        if self.entries.is_empty() {
+            // An empty level is a no-op; abort to unwind any states
+            // interned without a node.
+            self.abort_level();
+            return Ok(());
         }
-        if let Some((node, sum)) = bad {
+        // Nothing is mutated before validation passes.
+        if let Some((node, sum)) = self.first_bad_sum() {
             self.abort_level();
             return Err(PpsError::BadDistribution { node, sum });
         }
-        let level = self.level.take().expect("commit_level: no level open");
-        let old_nodes = level.old_nodes;
-        let n_new = self.pps.nodes.len() - old_nodes;
+        self.level = None;
+        let old_nodes = level.nodes;
         // All new nodes share one fresh time — the key fact behind both
         // the run repair (only extended leaves' runs change) and the cell
         // repair (no new node can join an old cell).
         let new_time = self.frontier_depth;
+        self.extend_child_arena(old_nodes);
+        let n_old_runs = self.pps.run_probs.len();
+        let n_runs = self.repair_runs(old_nodes, new_time);
+        // Every old run maps to at least one new run, so an unchanged
+        // count means each extended leaf gained exactly one child: old run
+        // `r` is still run `r`, and the old cells' run-sets stand.
+        if n_runs != n_old_runs {
+            self.refill_old_cells(n_runs);
+        }
+        self.add_level_cells(old_nodes, n_runs, new_time);
+        self.frontier_depth += 1;
+        Ok(())
+    }
 
-        // ---- Child arena. Under level-order growth — parents strictly
-        // increasing, and nothing but childless frontier leaves from the
-        // first extended parent onwards — the old arena is a strict
-        // prefix of the new one: the appended children are already
-        // grouped by parent in id order (each parent's block is
-        // contiguous, parents arrive ascending), which is exactly where
-        // the counting sort would place them. So the new entries append,
-        // offsets up to the first extended parent stand, and the rest
-        // shift by the running count of appended children. Any other
-        // shape (hand-driven out-of-order appends) falls back to the
-        // full counting-sort rebuild the build pass uses.
-        let p0 = level.entries[0].0.index();
+    /// Places the open level's children in the child arena.
+    fn extend_child_arena(&mut self, old_nodes: usize) {
+        let n_new = self.pps.nodes.len() - old_nodes;
+        // Under level-order growth — nothing but childless frontier
+        // leaves from the first extended parent onwards — the old arena is
+        // a strict prefix of the new one: the appended children are
+        // already grouped by parent in id order (each parent's block is
+        // contiguous, parents ascend), which is exactly where the counting
+        // sort would place them. So the new entries append, offsets up to
+        // the first extended parent stand, and the rest shift by the
+        // running count of appended children. A tree in any other node
+        // order (hand-built depth-first, say) falls back to the full
+        // counting-sort rebuild the build pass uses.
+        let p0 = self.entries[0].parent.index();
         let old_arena = self.pps.child_nodes.len();
-        if level.in_order && self.pps.child_offsets[p0] as usize == old_arena {
+        if self.pps.child_offsets[p0] as usize == old_arena {
             self.pps.child_nodes.reserve(n_new);
-            for &(_, first, count, _) in &level.entries {
+            for entry in &self.entries {
                 self.pps
                     .child_nodes
-                    .extend((first..first + count).map(NodeId));
+                    .extend((entry.first..entry.first + entry.count).map(NodeId));
             }
             let mut add = 0u32;
             let mut e = 0usize;
             for i in p0 + 1..=old_nodes {
-                while e < level.entries.len() && level.entries[e].0.index() < i {
-                    add += level.entries[e].2;
+                while e < self.entries.len() && self.entries[e].parent.index() < i {
+                    add += self.entries[e].count;
                     e += 1;
                 }
                 self.pps.child_offsets[i] = old_arena as u32 + add;
@@ -1980,33 +1771,45 @@ impl<G: GlobalState, P: Probability> PpsExtender<G, P> {
             self.pps.child_nodes = child_nodes;
             self.pps.child_offsets = child_offsets;
         }
+    }
 
-        // ---- Run repair: walk the old runs in order; each maps to
-        // itself (leaf unextended — path and probability move verbatim)
-        // or to one new run per appended child, in child-insertion order
-        // — exactly the sequence the from-scratch DFS would emit, since
-        // run order depends only on structure and per-parent insertion
-        // order.
-        let old_run_offsets = std::mem::take(&mut self.pps.run_offsets);
-        let old_run_nodes = std::mem::take(&mut self.pps.run_nodes);
-        let old_run_probs = std::mem::take(&mut self.pps.run_probs);
-        let n_old_runs = old_run_probs.len();
-        let mut run_nodes: Vec<NodeId> = Vec::with_capacity(old_run_nodes.len() + 2 * n_new);
-        let mut run_offsets: Vec<u32> = Vec::with_capacity(n_old_runs + n_new + 1);
+    /// Rebuilds the run arena for the open level and renumbers every
+    /// node's run interval, returning the new run count.
+    ///
+    /// Old runs are walked in order; each maps to itself (leaf
+    /// unextended — path and probability move verbatim) or to one new run
+    /// per appended child, in child-insertion order — exactly the
+    /// sequence the from-scratch DFS would emit, since run order depends
+    /// only on structure and per-parent insertion order. An extended
+    /// leaf's run has `new_time` nodes, so the new arena's size is known
+    /// up front.
+    fn repair_runs(&mut self, old_nodes: usize, new_time: Time) -> usize {
+        let n_new = self.pps.nodes.len() - old_nodes;
+        let n_old_runs = self.pps.run_probs.len();
+        let (mut grown_nodes, mut grown_runs) = (0usize, 0usize);
+        for entry in &self.entries {
+            let count = entry.count as usize;
+            grown_nodes += count * (new_time as usize + 1) - new_time as usize;
+            grown_runs += count - 1;
+        }
+        let mut run_nodes = Vec::with_capacity(self.pps.run_nodes.len() + grown_nodes);
+        let mut run_offsets = Vec::with_capacity(n_old_runs + grown_runs + 1);
         run_offsets.push(0);
-        let mut run_probs: Vec<P> = Vec::with_capacity(n_old_runs + n_new);
+        let mut run_probs = Vec::with_capacity(n_old_runs + grown_runs);
+        let old_run_probs = std::mem::take(&mut self.pps.run_probs);
         // `run_map[r]` is the new index of the first run replacing old
         // run `r`; the sentinel `run_map[n_old_runs]` is the final count,
         // so an old interval `(lo, hi)` renumbers to
         // `(run_map[lo], run_map[hi])`.
-        let mut run_map: Vec<u32> = Vec::with_capacity(n_old_runs + 1);
-        // Unit run interval per new node, filled as its run is emitted.
-        let mut new_ranges: Vec<(u32, u32)> = vec![(0, 0); n_new];
+        self.run_map.clear();
+        // Each new node is a leaf on exactly one run: its unit interval
+        // is filled as that run is emitted.
+        self.pps.run_ranges.resize(old_nodes + n_new, (0, 0));
         for (r, prob) in old_run_probs.into_iter().enumerate() {
-            run_map.push(run_probs.len() as u32);
-            let lo = old_run_offsets[r] as usize;
-            let hi = old_run_offsets[r + 1] as usize;
-            let path = &old_run_nodes[lo..hi];
+            self.run_map.push(run_probs.len() as u32);
+            let lo = self.pps.run_offsets[r] as usize;
+            let hi = self.pps.run_offsets[r + 1] as usize;
+            let path = &self.pps.run_nodes[lo..hi];
             let leaf = path[path.len() - 1];
             let clo = self.pps.child_offsets[leaf.index()] as usize;
             let chi = self.pps.child_offsets[leaf.index() + 1] as usize;
@@ -2014,46 +1817,49 @@ impl<G: GlobalState, P: Probability> PpsExtender<G, P> {
                 run_nodes.extend_from_slice(path);
                 run_offsets.push(run_nodes.len() as u32);
                 run_probs.push(prob);
-            } else {
-                for &child in &self.pps.child_nodes[clo..chi] {
-                    let slot = &mut new_ranges[child.index() - old_nodes];
-                    slot.0 = run_probs.len() as u32;
-                    slot.1 = slot.0 + 1;
-                    run_nodes.extend_from_slice(path);
-                    run_nodes.push(child);
-                    run_offsets.push(run_nodes.len() as u32);
-                    let edge = self.pps.nodes.edge_prob(child.index());
-                    // The old run probability *is* the from-scratch
-                    // prefix product at the leaf, so extending it
-                    // multiplies in the same operand the full DFS would
-                    // — bit-identical, including the `p · 1` copy fast
-                    // path.
-                    run_probs.push(if edge.is_one() {
-                        prob.clone()
-                    } else {
-                        prob.mul(edge)
-                    });
-                }
+                continue;
+            }
+            let mut prob = prob;
+            for slot in clo..chi {
+                let child = self.pps.child_nodes[slot];
+                let run = run_probs.len() as u32;
+                self.pps.run_ranges[child.index()] = (run, run + 1);
+                run_nodes.extend_from_slice(path);
+                run_nodes.push(child);
+                run_offsets.push(run_nodes.len() as u32);
+                let edge = self.pps.nodes.edge_prob(child.index());
+                // The old run probability *is* the from-scratch prefix
+                // product at the leaf, so extending it multiplies in the
+                // same operand the full DFS would — bit-identical,
+                // including the `p · 1` copy fast path, which moves the
+                // product into the leaf's last child instead of cloning.
+                run_probs.push(if !edge.is_one() {
+                    prob.mul(edge)
+                } else if slot + 1 == chi {
+                    std::mem::replace(&mut prob, P::zero())
+                } else {
+                    prob.clone()
+                });
             }
         }
-        run_map.push(run_probs.len() as u32);
+        self.run_map.push(run_probs.len() as u32);
         let n_runs = run_probs.len();
-        for range in &mut self.pps.run_ranges {
-            range.0 = run_map[range.0 as usize];
-            range.1 = run_map[range.1 as usize];
+        if n_runs != n_old_runs {
+            for range in &mut self.pps.run_ranges[..old_nodes] {
+                range.0 = self.run_map[range.0 as usize];
+                range.1 = self.run_map[range.1 as usize];
+            }
         }
-        self.pps.run_ranges.extend(new_ranges);
         self.pps.run_nodes = run_nodes;
         self.pps.run_offsets = run_offsets;
         self.pps.run_probs = run_probs;
+        n_runs
+    }
 
-        // ---- Cell repair. New local states intern behind the retained
-        // pools in pool-id order (the order the original pass used), then
-        // each agent gains cells for the fresh `(new_time, local)` keys
-        // only, spliced behind its existing block; every old cell's
-        // run-set is refilled from its members' renumbered intervals.
-        let mut cells = std::mem::take(&mut self.pps.cells);
-        for cell in &mut cells {
+    /// Refills every existing cell's run-set from its members' renumbered
+    /// intervals.
+    fn refill_old_cells(&mut self, n_runs: usize) {
+        for cell in &mut self.pps.cells {
             cell.runs.reset(n_runs);
             // Members are in node-id order, so their (renumbered) run
             // intervals are sorted and frequently abut — coalesce before
@@ -2070,35 +1876,35 @@ impl<G: GlobalState, P: Probability> PpsExtender<G, P> {
             }
             cell.runs.insert_range(lo as usize..hi as usize);
         }
-        let n_agents = self.pps.n_agents as usize;
-        // Hoisted out of the per-agent pass: state ids of the appended
-        // nodes, in node order.
-        let new_sids: Vec<StateId> = self.pps.nodes.states[old_nodes..]
-            .iter()
-            .map(|s| s.expect("non-root node has a state"))
-            .collect();
-        let mut new_agent_cells: Vec<AgentCells<G::Local>> = Vec::with_capacity(n_agents);
-        for (a, (agent_pool, of)) in self
-            .locals
-            .iter_mut()
-            .zip(self.local_of.iter_mut())
-            .enumerate()
-        {
+    }
+
+    /// Buckets the open level's nodes into new cells.
+    ///
+    /// States new to the retained local pools are projected and interned
+    /// first. Then each agent gains cells for the fresh `(new_time,
+    /// local)` keys only, in order of their first new node, spliced
+    /// behind its existing block — the id order a from-scratch build
+    /// emits, because the fresh keys appear after all of an agent's old
+    /// keys in first-occurrence order. Later agents' blocks shift by the
+    /// new cells of the agents before them.
+    fn add_level_cells(&mut self, old_nodes: usize, n_runs: usize, new_time: Time) {
+        let new_states = &self.pps.nodes.states[old_nodes..];
+        let mut shift = 0u32;
+        for (a, (agent_pool, of)) in self.locals.iter_mut().zip(&mut self.local_of).enumerate() {
             let agent = AgentId(a as u32);
-            for (_, state) in self.pps.pool.iter().skip(of.len()) {
-                of.push(agent_pool.intern(state.local(agent)));
+            for sid in of.len()..self.pps.pool.len() {
+                of.push(agent_pool.intern(self.pps.pool[StateId(sid as u32)].local(agent)));
             }
-            let mut agent_cells: Vec<Cell<G::Local>> = Vec::new();
-            let mut cell_of: Vec<CellId> = Vec::with_capacity(n_new);
-            let mut slot_of: Vec<u32> = vec![INDEX_NONE; agent_pool.len()];
-            for (k, &sid) in new_sids.iter().enumerate() {
-                let i = old_nodes + k;
-                let local = of[sid.index()];
-                let mut slot = slot_of[local.index()];
-                if slot == INDEX_NONE {
-                    slot = agent_cells.len() as u32;
-                    slot_of[local.index()] = slot;
-                    agent_cells.push(Cell {
+            self.slot_of.resize(agent_pool.len(), INDEX_NONE);
+            let old_count = self.pps.first_cell[a + 1] - self.pps.first_cell[a];
+            self.pps.first_cell[a] += shift;
+            let column = &mut self.pps.cell_of[a];
+            for (k, sid) in new_states.iter().enumerate() {
+                let local = of[sid.expect("non-root node has a state").index()];
+                let slot = &mut self.slot_of[local.index()];
+                if *slot == INDEX_NONE {
+                    *slot = self.new_cells.len() as u32;
+                    self.new_cells.push(Cell {
                         agent,
                         time: new_time,
                         data: agent_pool[local].clone(),
@@ -2106,60 +1912,56 @@ impl<G: GlobalState, P: Probability> PpsExtender<G, P> {
                         runs: RunSet::empty(n_runs),
                     });
                 }
-                let cell = &mut agent_cells[slot as usize];
-                cell.nodes.push(NodeId(i as u32));
-                // Every appended node is a leaf on exactly one run.
-                let (lo, _) = self.pps.run_ranges[i];
-                cell.runs.insert(RunId(lo));
-                cell_of.push(CellId(slot));
+                let node = old_nodes + k;
+                let cell = &mut self.new_cells[*slot as usize];
+                cell.nodes.push(NodeId(node as u32));
+                cell.runs.insert(RunId(self.pps.run_ranges[node].0));
+                column.push(CellId(old_count + *slot));
             }
-            new_agent_cells.push(AgentCells {
-                cells: agent_cells,
-                cell_of,
-            });
-        }
-        // Splice: per agent, old cells then new cells — the id order a
-        // from-scratch merge would emit, because the fresh keys appear
-        // after all of an agent's old keys in first-occurrence order.
-        let mut delta: Vec<u32> = Vec::with_capacity(n_agents); // Σ new counts of agents before a
-        let mut new_first: Vec<u32> = Vec::with_capacity(n_agents); // merged id of a's first new cell
-        {
-            let mut acc_old = 0u32;
-            let mut acc_new = 0u32;
-            for (a, agent_new) in new_agent_cells.iter().enumerate() {
-                delta.push(acc_new);
-                new_first.push(acc_old + acc_new + self.agent_cell_counts[a] as u32);
-                acc_old += self.agent_cell_counts[a] as u32;
-                acc_new += agent_new.cells.len() as u32;
+            for cell in &self.new_cells {
+                let sid = self.pps.nodes.states[cell.nodes[0].index()];
+                let local = of[sid.expect("non-root node has a state").index()];
+                self.slot_of[local.index()] = INDEX_NONE;
             }
+            let at = (self.pps.first_cell[a] + old_count) as usize;
+            shift += self.new_cells.len() as u32;
+            self.pps.cells.splice(at..at, self.new_cells.drain(..));
         }
-        for (a, column) in self.pps.cell_of.iter_mut().enumerate() {
-            // `delta[0]` is always zero (no agent precedes agent 0), and
-            // later agents' deltas are zero whenever earlier agents
-            // gained no cells — skip the no-op renumber walk.
-            if delta[a] != 0 {
-                for cell in column.iter_mut() {
-                    cell.0 += delta[a];
+        self.pps.first_cell[self.local_of.len()] += shift;
+    }
+
+    /// The first extended parent of the open level whose new children do
+    /// not sum to one, with that sum. A block replaying a block this
+    /// level has already summed repeats its edge probabilities id for id,
+    /// so it is not summed again.
+    fn first_bad_sum(&mut self) -> Option<(NodeId, f64)> {
+        self.checked.clear();
+        for entry in &self.entries {
+            let (first, count) = (entry.first, entry.count);
+            if let Some(template) = entry.template {
+                if self.checked.binary_search(&(template, count)).is_ok() {
+                    continue;
                 }
             }
-            column.extend(
-                new_agent_cells[a]
-                    .cell_of
-                    .iter()
-                    .map(|c| CellId(new_first[a] + c.0)),
-            );
+            // Same single-child specialisation as the build pass: a
+            // deterministic edge must be exactly one, no sum needed.
+            if count == 1 {
+                let p = self.pps.nodes.edge_prob(first as usize);
+                if !p.is_one() {
+                    return Some((entry.parent, p.to_f64()));
+                }
+            } else {
+                let mut sum = P::zero();
+                for child in first..first + count {
+                    sum.add_assign(self.pps.nodes.edge_prob(child as usize));
+                }
+                if !sum.is_one() {
+                    return Some((entry.parent, sum.to_f64()));
+                }
+            }
+            self.checked.push((first, count));
         }
-        let total_new: usize = new_agent_cells.iter().map(|c| c.cells.len()).sum();
-        let mut merged: Vec<Cell<G::Local>> = Vec::with_capacity(cells.len() + total_new);
-        let mut old_iter = cells.into_iter();
-        for (a, agent_new) in new_agent_cells.into_iter().enumerate() {
-            merged.extend(old_iter.by_ref().take(self.agent_cell_counts[a]));
-            self.agent_cell_counts[a] += agent_new.cells.len();
-            merged.extend(agent_new.cells);
-        }
-        self.pps.cells = merged;
-        self.frontier_depth += 1;
-        Ok(())
+        None
     }
 }
 
@@ -2177,47 +1979,6 @@ mod tests {
 
     fn st(env: u64, locals: &[u64]) -> SimpleState {
         SimpleState::new(env, locals.to_vec())
-    }
-
-    /// A two-level tree built twice: once replaying a template expansion
-    /// child by child (`child_replayed`), once with the bulk column copy
-    /// (`children_replayed`). The two must be indistinguishable.
-    #[test]
-    fn bulk_replay_equals_per_child_replay() {
-        let build = |bulk: bool| -> Pps<SimpleState, Rational> {
-            let mut b = B::new(1);
-            let g0 = b.initial(st(0, &[0]), r(1, 2)).unwrap();
-            let g1 = b.initial(st(1, &[0]), r(1, 2)).unwrap();
-            // Template expansion under g0: two children.
-            let t0 = b
-                .child(g0, st(2, &[1]), r(1, 3), &[(AgentId(0), ActionId(0))])
-                .unwrap();
-            let t1 = b.child(g0, st(3, &[2]), r(2, 3), &[]).unwrap();
-            // Replay it under g1.
-            if bulk {
-                b.children_replayed(g1, t0, 2);
-            } else {
-                b.child_replayed(g1, t0);
-                b.child_replayed(g1, t1);
-            }
-            b.build().unwrap()
-        };
-        let per_child = build(false);
-        let bulk = build(true);
-        assert_eq!(per_child.num_nodes(), bulk.num_nodes());
-        assert_eq!(per_child.num_runs(), bulk.num_runs());
-        for n in (1..per_child.num_nodes() as u32).map(NodeId) {
-            assert_eq!(per_child.parent(n), bulk.parent(n), "parent of {n}");
-            assert_eq!(per_child.node_state(n), bulk.node_state(n), "state of {n}");
-            assert_eq!(per_child.node_time(n), bulk.node_time(n), "time of {n}");
-        }
-        for run in per_child.run_ids() {
-            assert_eq!(per_child.nodes_of(run), bulk.nodes_of(run));
-            assert_eq!(per_child.run_probability(run), bulk.run_probability(run));
-        }
-        for (a, b2) in per_child.points().zip(bulk.points()) {
-            assert_eq!(per_child.actions_at(a), bulk.actions_at(b2));
-        }
     }
 
     /// The paper's Figure 1 system: one agent, one initial state, mixed

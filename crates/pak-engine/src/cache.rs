@@ -67,7 +67,7 @@ pub struct CacheStats {
 struct Entry<G: GlobalState, P: Probability> {
     pps: Arc<Pps<G, P>>,
     bytes: usize,
-    /// Logical LRU clock value of the last get/insert/best_at_most touch.
+    /// Logical LRU clock value of the last get/insert touch.
     last_use: u64,
 }
 
@@ -228,31 +228,6 @@ impl<G: GlobalState, P: Probability> PpsCache<G, P> {
         evicted
     }
 
-    /// The deepest cached horizon `≤ horizon` for this fingerprint, with
-    /// its tree — what an extension-based fill uses as a starting point
-    /// when the exact horizon misses. Refreshes the returned entry's LRU
-    /// position but does not touch the hit/miss counters.
-    #[must_use]
-    pub fn best_at_most(
-        &self,
-        fingerprint: Fingerprint,
-        horizon: Time,
-    ) -> Option<(Time, Arc<Pps<G, P>>)> {
-        let mut inner = self.inner.lock().expect("pps cache poisoned");
-        inner.tick += 1;
-        let tick = inner.tick;
-        let best = inner
-            .map
-            .iter()
-            .filter(|((fp, h), _)| *fp == fingerprint && *h <= horizon)
-            .max_by_key(|((_, h), _)| *h)
-            .map(|((_, h), _)| (fingerprint, *h));
-        let (fp, h) = best?;
-        let entry = inner.map.get_mut(&(fp, h))?;
-        entry.last_use = tick;
-        Some((h, Arc::clone(&entry.pps)))
-    }
-
     /// The number of cached trees.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -320,9 +295,9 @@ impl<G: GlobalState, P: Probability> PpsCache<G, P> {
 /// [`Unfolder::extend_horizon`] level. Snapshots handed to the cache are
 /// `Arc`-wrapped clones, immutable by construction — later growth of the
 /// handle never mutates a served tree. If a *shallower* horizon than the
-/// handle's is requested on a cache miss, it is served by a capped
-/// from-scratch unfold (the handle cannot shrink); the level-order
-/// emission contract guarantees both routes produce bit-identical trees.
+/// handle's is requested on a cache miss, it is grown afresh from the
+/// prior by the same level step (the handle cannot shrink), so both
+/// routes produce the same tree.
 pub struct CachedUnfolder<'m, M: ProtocolModel<P>, P: Probability> {
     unfolder: Unfolder<'m, M, P>,
     config: UnfoldConfig,
@@ -387,13 +362,7 @@ where
     }
 
     /// As [`CachedUnfolder::pps_at`], polling `cancel` at every level
-    /// boundary (and per frontier node) of the incremental growth path.
-    ///
-    /// The shallower-than-handle path (a capped from-scratch unfold of
-    /// an already-grown prefix) checks the token once up front but is
-    /// not interruptible mid-unfold; it rebuilds a tree the handle has
-    /// already paid for, so its latency is bounded by work the caller
-    /// has previously accepted.
+    /// boundary (and per frontier node) of the growth.
     ///
     /// # Errors
     ///
@@ -411,16 +380,15 @@ where
             return Ok(hit);
         }
         let snapshot = if self.unfolder.horizon() > horizon {
-            if cancel.is_cancelled() {
-                return Err(UnfoldError::Cancelled);
-            }
-            // The handle has already grown past this horizon; a capped
-            // from-scratch unfold serves the shallower tree.
-            let capped = UnfoldConfig {
-                horizon: Some(horizon),
+            // The handle has already grown past this horizon; a fresh
+            // handle grows the shallower tree from the prior.
+            let prior = UnfoldConfig {
+                horizon: Some(0),
                 ..self.config.clone()
             };
-            Arc::new(Unfolder::new(self.model, capped)?.into_pps())
+            let mut fresh = Unfolder::new(self.model, prior)?;
+            while fresh.horizon() < horizon && fresh.extend_horizon_with(cancel)? {}
+            Arc::new(fresh.into_pps())
         } else {
             while self.unfolder.horizon() < horizon && self.unfolder.extend_horizon_with(cancel)? {}
             Arc::new(self.unfolder.pps().clone())
@@ -433,10 +401,11 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pak_core::ids::AgentId;
+    use pak_core::ids::{ActionId, AgentId};
+    use pak_core::state::SimpleState;
     use pak_num::Rational;
     use pak_protocol::generator::{random_model, RandomModelConfig};
-    use pak_protocol::model::CoinModel;
+    use pak_protocol::model::{CoinModel, TableModel};
     use pak_protocol::unfold::unfold_with;
 
     fn cfg(horizon: u32) -> RandomModelConfig {
@@ -533,18 +502,114 @@ mod tests {
         assert_eq!(cache.len(), 2);
     }
 
+    /// A table model that trips an armed token the first time its
+    /// environment resolves a state at time `trip_at`.
+    struct TripAt {
+        inner: TableModel<Rational>,
+        trip_at: Time,
+        armed: Mutex<Option<CancelToken>>,
+    }
+
+    impl ProtocolModel<Rational> for TripAt {
+        type Global = SimpleState;
+        type Move = Option<ActionId>;
+
+        fn n_agents(&self) -> u32 {
+            ProtocolModel::<Rational>::n_agents(&self.inner)
+        }
+
+        fn initial_states(&self) -> Vec<(SimpleState, Rational)> {
+            self.inner.initial_states()
+        }
+
+        fn is_terminal(&self, state: &SimpleState, time: Time) -> bool {
+            ProtocolModel::<Rational>::is_terminal(&self.inner, state, time)
+        }
+
+        fn moves(
+            &self,
+            agent: AgentId,
+            local: &u64,
+            time: Time,
+            out: &mut Vec<(Option<ActionId>, Rational)>,
+        ) {
+            self.inner.moves(agent, local, time, out);
+        }
+
+        fn action_of(&self, mv: &Option<ActionId>) -> Option<ActionId> {
+            ProtocolModel::<Rational>::action_of(&self.inner, mv)
+        }
+
+        fn transition(
+            &self,
+            state: &SimpleState,
+            moves: &[Option<ActionId>],
+            time: Time,
+            out: &mut Vec<(SimpleState, Rational)>,
+        ) {
+            if time == self.trip_at {
+                if let Some(token) = self.armed.lock().expect("trap poisoned").take() {
+                    token.cancel();
+                }
+            }
+            self.inner.transition(state, moves, time, out);
+        }
+    }
+
+    impl ModelFingerprint for TripAt {
+        fn fingerprint(&self) -> Fingerprint {
+            self.inner.fingerprint()
+        }
+    }
+
     #[test]
-    fn best_at_most_finds_the_deepest_prefix() {
+    fn shallower_miss_is_cancellable_and_retries_identically() {
         let cache = PpsCache::new();
-        let model = random_model::<Rational>(7, &cfg(5));
-        let mut session =
-            CachedUnfolder::<_, Rational>::new(&model, UnfoldConfig::default()).unwrap();
-        session.pps_at(&cache, 1).unwrap();
-        session.pps_at(&cache, 3).unwrap();
+        let model = TripAt {
+            inner: random_model::<Rational>(19, &cfg(5)),
+            trip_at: 1,
+            armed: Mutex::new(None),
+        };
+        let mut session = CachedUnfolder::<_, Rational>::new(&model, UnfoldConfig::default())
+            .expect("session opens");
+        session.pps_at(&cache, 4).expect("grow to 4");
         let fp = session.fingerprint();
-        assert_eq!(cache.best_at_most(fp, 4).map(|(h, _)| h), Some(3));
-        assert_eq!(cache.best_at_most(fp, 2).map(|(h, _)| h), Some(1));
-        assert_eq!(cache.best_at_most(fp, 0).map(|(h, _)| h), None);
+
+        // A miss below the handle's horizon regrows from the prior; the
+        // token trips while time 1 expands, so the regrowth stops there.
+        let token = CancelToken::new();
+        *model.armed.lock().unwrap() = Some(token.clone());
+        let err = session.pps_at_with(&cache, 2, &token).unwrap_err();
+        assert_eq!(err, UnfoldError::Cancelled);
+        assert_eq!(session.horizon(), 4, "the retained handle is untouched");
+        assert_eq!(cache.len(), 1, "a cancelled miss inserts nothing");
+
+        let retry = session
+            .pps_at_with(&cache, 2, &CancelToken::new())
+            .expect("retry");
+        let want = unfold_with::<_, Rational>(
+            &model.inner,
+            &UnfoldConfig {
+                horizon: Some(2),
+                ..UnfoldConfig::default()
+            },
+        )
+        .expect("capped unfold");
+        assert_eq!(retry.num_nodes(), want.num_nodes());
+        for n in (1..want.num_nodes() as u32).map(pak_core::ids::NodeId) {
+            assert_eq!(retry.parent(n), want.parent(n));
+            assert_eq!(retry.node_state_id(n), want.node_state_id(n));
+        }
+        assert_eq!(retry.num_runs(), want.num_runs());
+        for run in want.run_ids() {
+            assert_eq!(retry.nodes_of(run), want.nodes_of(run));
+            assert_eq!(retry.run_probability(run), want.run_probability(run));
+        }
+        assert!(retry
+            .cells()
+            .map(|(_, c)| c)
+            .eq(want.cells().map(|(_, c)| c)));
+        assert!(Arc::ptr_eq(&retry, &cache.get(fp, 2).expect("cached")));
     }
 
     #[test]

@@ -22,6 +22,10 @@
 //! Atoms are registered on the parser by name, binding identifiers to
 //! [`Fact`]s.
 //!
+//! The parser is a recursive descent, so nesting is capped at
+//! [`MAX_NESTING`] levels: deeper input is rejected with a positioned
+//! [`ParseFormulaError`] instead of overflowing the stack.
+//!
 //! # Examples
 //!
 //! ```
@@ -47,6 +51,19 @@ use pak_core::state::GlobalState;
 use pak_num::Rational;
 
 use crate::formula::Formula;
+
+/// The deepest nesting a formula may have, counted in prefix operators
+/// (`!`, `<>`, `[]`, `K`, `B`), parentheses and right-hand sides of `->`
+/// enclosing one another. `!` repeated this many times before `true`
+/// parses; one more is an error.
+///
+/// Each parenthesised level costs several parser frames, about 10 KiB
+/// of stack in an unoptimised build, so this cap keeps a parse well
+/// inside a 2 MiB thread stack.
+pub const MAX_NESTING: usize = 64;
+
+/// The outcome of parsing one (sub)formula.
+type Parsed<G, P> = Result<Formula<G, P>, ParseFormulaError>;
 
 /// Error produced when parsing a formula.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -102,7 +119,11 @@ impl<G: GlobalState, P: Probability> FormulaParser<G, P> {
     /// Returns a [`ParseFormulaError`] describing the first syntax problem
     /// or unknown atom.
     pub fn parse(&self, input: &str) -> Result<Formula<G, P>, ParseFormulaError> {
-        let mut cursor = Cursor { input, pos: 0 };
+        let mut cursor = Cursor {
+            input,
+            pos: 0,
+            depth: 0,
+        };
         let f = self.parse_implies(&mut cursor)?;
         cursor.skip_ws();
         if cursor.pos != input.len() {
@@ -115,7 +136,7 @@ impl<G: GlobalState, P: Probability> FormulaParser<G, P> {
         let lhs = self.parse_or(c)?;
         c.skip_ws();
         if c.eat("->") {
-            let rhs = self.parse_implies(c)?;
+            let rhs = self.nested(c, Self::parse_implies)?;
             return Ok(lhs.implies(rhs));
         }
         Ok(lhs)
@@ -150,16 +171,16 @@ impl<G: GlobalState, P: Probability> FormulaParser<G, P> {
     fn parse_unary(&self, c: &mut Cursor<'_>) -> Result<Formula<G, P>, ParseFormulaError> {
         c.skip_ws();
         if c.eat("!") {
-            return Ok(self.parse_unary(c)?.not());
+            return Ok(self.nested(c, Self::parse_unary)?.not());
         }
         if c.eat("<>") {
-            return Ok(self.parse_unary(c)?.eventually());
+            return Ok(self.nested(c, Self::parse_unary)?.eventually());
         }
         if c.eat("[]") {
-            return Ok(self.parse_unary(c)?.always());
+            return Ok(self.nested(c, Self::parse_unary)?.always());
         }
         if c.eat("(") {
-            let inner = self.parse_implies(c)?;
+            let inner = self.nested(c, Self::parse_implies)?;
             c.skip_ws();
             if !c.eat(")") {
                 return Err(c.error("expected ')'"));
@@ -197,7 +218,7 @@ impl<G: GlobalState, P: Probability> FormulaParser<G, P> {
         if c.peek_char('K') && c.digit_follows(1) {
             c.advance(1);
             let agent = c.parse_number("agent id")?;
-            let inner = self.parse_unary(c)?;
+            let inner = self.nested(c, Self::parse_unary)?;
             return Ok(Formula::knows(AgentId(agent), inner));
         }
         // B<agent>{>=p} inner
@@ -212,7 +233,7 @@ impl<G: GlobalState, P: Probability> FormulaParser<G, P> {
             if !c.eat("}") {
                 return Err(c.error("expected '}' after belief threshold"));
             }
-            let inner = self.parse_unary(c)?;
+            let inner = self.nested(c, Self::parse_unary)?;
             return Ok(Formula::believes_at_least(AgentId(agent), inner, prob));
         }
         // Identifier atom.
@@ -221,6 +242,22 @@ impl<G: GlobalState, P: Probability> FormulaParser<G, P> {
             Some(fact) => Ok(Formula::Atom(Arc::clone(fact))),
             None => Err(c.error(&format!("unknown atom '{ident}'"))),
         }
+    }
+
+    /// Parses an operand one nesting level deeper, enforcing
+    /// [`MAX_NESTING`].
+    fn nested(
+        &self,
+        c: &mut Cursor<'_>,
+        parse: fn(&Self, &mut Cursor<'_>) -> Parsed<G, P>,
+    ) -> Parsed<G, P> {
+        if c.depth == MAX_NESTING {
+            return Err(c.error(&format!("formula nested deeper than {MAX_NESTING} levels")));
+        }
+        c.depth += 1;
+        let operand = parse(self, c);
+        c.depth -= 1;
+        operand
     }
 }
 
@@ -236,6 +273,8 @@ impl<G: GlobalState, P: Probability> fmt::Debug for FormulaParser<G, P> {
 struct Cursor<'a> {
     input: &'a str,
     pos: usize,
+    /// Operands currently open around the cursor (see [`MAX_NESTING`]).
+    depth: usize,
 }
 
 impl Cursor<'_> {
@@ -455,6 +494,26 @@ mod tests {
         let mut p = parser();
         p.atom("Kind", StateFact::new("Kind", |_: &SimpleState| true));
         assert!(p.parse("Kind").is_ok());
+    }
+
+    #[test]
+    fn nesting_is_capped_with_a_positioned_error() {
+        let p = parser();
+        let bangs = |n: usize| format!("{}true", "!".repeat(n));
+        let parens = |n: usize| format!("{}true{}", "(".repeat(n), ")".repeat(n));
+        let arrows = |n: usize| format!("{}true", "true -> ".repeat(n));
+        for deep in [bangs, parens, arrows] {
+            assert!(p.parse(&deep(MAX_NESTING)).is_ok());
+            let err = p.parse(&deep(MAX_NESTING + 1)).unwrap_err();
+            assert!(err.message.contains("nested deeper"), "{err}");
+            assert!(p.parse(&deep(100_000)).is_err());
+        }
+        // The error points just past the operator that opened one level
+        // too many.
+        assert_eq!(
+            p.parse(&bangs(MAX_NESTING + 1)).unwrap_err().position,
+            MAX_NESTING + 1
+        );
     }
 
     #[test]

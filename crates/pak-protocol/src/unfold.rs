@@ -32,38 +32,33 @@
 //!
 //! The unfolder queries the model through [`ProtocolModel::moves`] and
 //! [`ProtocolModel::transition`], appending into cleared-and-reused
-//! scratch buffers (no allocation per query), and treats both as *pure
-//! functions* of their arguments (see [`mod@crate::model`]): because
-//! interning makes state identity explicit, expansions are memoized per
-//! `(state, time)` and replayed for every tree node that revisits the
-//! pair, so the model's methods may be called once where a naive
-//! enumeration would call them many times. Models whose distributions
-//! depend on hidden mutable state would produce unspecified (though still
-//! validated) trees — no model in this workspace does.
+//! scratch buffers (no allocation per query), and treats both — and
+//! [`ProtocolModel::is_terminal`] — as *pure functions* of their
+//! arguments (see [`mod@crate::model`]): because interning makes state
+//! identity explicit, expansions are memoized per `(state, time)` and
+//! replayed for every tree node that revisits the pair, so the model's
+//! methods may be called once where a naive enumeration would call them
+//! many times. Models whose distributions depend on hidden mutable state
+//! would produce unspecified (though still validated) trees — no model in
+//! this workspace does.
 //!
-//! The memo is also threaded into the *build* pass: each expanded node is
-//! marked with its `(state, time)` key
-//! ([`PpsBuilder::mark_children_shared`]), so validation sums each
-//! distinct expansion's outgoing distribution once instead of re-checking
-//! every replayed node with exact arithmetic.
-//!
-//! # Level-order emission and incremental horizon extension
+//! # Level-order growth
 //!
 //! The frontier is processed in **level order**: every node of time `t`
 //! is expanded before any node of time `t + 1`. This makes the
 //! horizon-`h` tree a strict *prefix* of the horizon-`h + 1` tree — node
-//! ids, pool ids, arenas and all — which is what lets a tree **grow**
-//! instead of being rebuilt: a retained [`Unfolder`] handle keeps the
-//! model, the `(state, time)` memo, the scratch buffers, and the frontier
-//! alive between calls, and [`Unfolder::extend_horizon`] expands just the
-//! previous leaf frontier, appending through a
-//! [`PpsExtender`] that incrementally repairs the run and cell indexes.
-//! The purity contract is what makes retained-memo replay across
-//! extensions sound, and the grown tree is bit-identical to a
-//! from-scratch unfold capped at the same horizon
-//! ([`UnfoldConfig::horizon`]) — proved by the incremental-vs-scratch
-//! sweep in `tests/unfold_differential.rs` and on every `pak-systems`
-//! scenario by `tests/systems_unfold_smoke.rs`.
+//! ids, pool ids, arenas and all — and it is how every tree is built:
+//! the unfolder seeds only the prior through a [`PpsBuilder`], then
+//! appends one level at a time through a [`PpsExtender`], which
+//! validates the level and repairs the run and cell indexes in place. A retained [`Unfolder`]
+//! keeps the model, the `(state, time)` memo, the scratch buffers, and
+//! the frontier alive between calls, so [`Unfolder::extend_horizon`]
+//! grows a finished tree by the same step that built it. A tree grown
+//! to horizon `h` is therefore the tree a capped unfold
+//! ([`UnfoldConfig::horizon`]) returns, and the differential suites
+//! (`tests/unfold_differential.rs`, `tests/systems_unfold_smoke.rs`,
+//! `tests/dsl_differential.rs`) check every grown tree against the
+//! builder's whole-tree pass over the same nodes.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -79,10 +74,6 @@ use pak_core::prob::Probability;
 use pak_core::state::GlobalState;
 
 use crate::model::{validate_distribution, ProtocolModel};
-
-/// A node's merged successor list: interned state, joint-action labels,
-/// and accumulated probability per distinct `(actions, state)` child.
-type Successors<P> = Vec<(StateId, Vec<(AgentId, ActionId)>, P)>;
 
 /// Limits and options for unfolding.
 #[derive(Debug, Clone)]
@@ -222,60 +213,7 @@ where
     M: ProtocolModel<P>,
     P: Probability,
 {
-    Ok(unfold_to_builder(model, config)?.build()?)
-}
-
-/// Unfolds a protocol model into the raw (not yet validated) tree,
-/// stopping just before [`PpsBuilder::build`].
-///
-/// This exposes the pipeline's two phases separately — tree construction
-/// (this function) and the validation/indexing build pass — so profilers
-/// can attribute time per phase.
-///
-/// # Errors
-///
-/// See [`UnfoldError`] — everything except [`UnfoldError::Pps`], which can
-/// only arise from the deferred build step.
-pub fn unfold_to_builder<M, P>(
-    model: &M,
-    config: &UnfoldConfig,
-) -> Result<PpsBuilder<M::Global, P>, UnfoldError>
-where
-    M: ProtocolModel<P>,
-    P: Probability,
-{
-    unfold_levels(model, config).map(|(_, builder, _)| builder)
-}
-
-/// Validates the prior and expands it level by level up to
-/// `config.horizon` (or to exhaustion), returning the engine — memo,
-/// scratch and frontier — with the builder it filled and the time the
-/// frontier stopped at.
-#[allow(clippy::type_complexity)]
-fn unfold_levels<'m, M, P>(
-    model: &'m M,
-    config: &UnfoldConfig,
-) -> Result<(ExpansionCore<'m, M, P>, PpsBuilder<M::Global, P>, Time), UnfoldError>
-where
-    M: ProtocolModel<P>,
-    P: Probability,
-{
-    let n_agents = model.n_agents();
-    let initial = model.initial_states();
-    validate_distribution(&initial).map_err(|detail| UnfoldError::BadModelDistribution {
-        origin: "initial_states",
-        detail,
-    })?;
-    if initial.len() > config.max_nodes {
-        return Err(UnfoldError::TooLarge {
-            max_nodes: config.max_nodes,
-        });
-    }
-    let mut core = ExpansionCore::new(model, n_agents);
-    let mut builder = PpsBuilder::new(n_agents);
-    core.seed(&mut builder, initial)?;
-    let horizon = core.run_levels(&mut builder, 0, config.horizon, config)?;
-    Ok((core, builder, horizon))
+    Ok(Unfolder::new(model, config.clone())?.into_pps())
 }
 
 /// Sentinel for "no memoized expansion" in [`ExpansionCore`]'s dense memo
@@ -285,105 +223,11 @@ const EXPANSION_NONE: u32 = u32::MAX;
 /// an ordinary hash map (see [`ExpansionCore::memo_insert`]).
 const DENSE_MEMO_BUDGET: usize = 1 << 20;
 
-/// The append sink of the expansion loop. Both tree-construction modes —
-/// the initial unfold filling a [`PpsBuilder`] and incremental horizon
-/// growth appending through a [`PpsExtender`] — receive nodes through
-/// this interface, so one expansion engine ([`ExpansionCore`]) serves
-/// both and the two cannot drift apart.
-trait ExpandTarget<G: GlobalState, P: Probability> {
-    /// Interns a global state (see [`PpsBuilder::intern`]).
-    fn intern(&mut self, state: G) -> StateId;
-    /// Resolves an interned state id.
-    fn state(&self, id: StateId) -> &G;
-    /// Appends one child of `parent` (see [`PpsBuilder::child_interned`]).
-    fn child_interned(
-        &mut self,
-        parent: NodeId,
-        state: StateId,
-        prob: P,
-        actions: &[(AgentId, ActionId)],
-    ) -> Result<NodeId, PpsError>;
-    /// Bulk-appends `count` children replayed from a contiguous template
-    /// range (see [`PpsBuilder::children_replayed`]).
-    fn children_replayed(&mut self, parent: NodeId, first_template: NodeId, count: usize)
-        -> NodeId;
-    /// Marks a node's children as a memoized `(state, time)` replay (see
-    /// [`PpsBuilder::mark_children_shared`]).
-    fn mark_children_shared(&mut self, node: NodeId, state: StateId, time: Time);
-}
-
-impl<G: GlobalState, P: Probability> ExpandTarget<G, P> for PpsBuilder<G, P> {
-    fn intern(&mut self, state: G) -> StateId {
-        PpsBuilder::intern(self, state)
-    }
-
-    fn state(&self, id: StateId) -> &G {
-        PpsBuilder::state(self, id)
-    }
-
-    fn child_interned(
-        &mut self,
-        parent: NodeId,
-        state: StateId,
-        prob: P,
-        actions: &[(AgentId, ActionId)],
-    ) -> Result<NodeId, PpsError> {
-        PpsBuilder::child_interned(self, parent, state, prob, actions)
-    }
-
-    fn children_replayed(
-        &mut self,
-        parent: NodeId,
-        first_template: NodeId,
-        count: usize,
-    ) -> NodeId {
-        PpsBuilder::children_replayed(self, parent, first_template, count)
-    }
-
-    fn mark_children_shared(&mut self, node: NodeId, state: StateId, time: Time) {
-        PpsBuilder::mark_children_shared(self, node, state, time);
-    }
-}
-
-impl<G: GlobalState, P: Probability> ExpandTarget<G, P> for PpsExtender<G, P> {
-    fn intern(&mut self, state: G) -> StateId {
-        PpsExtender::intern(self, state)
-    }
-
-    fn state(&self, id: StateId) -> &G {
-        PpsExtender::state(self, id)
-    }
-
-    fn child_interned(
-        &mut self,
-        parent: NodeId,
-        state: StateId,
-        prob: P,
-        actions: &[(AgentId, ActionId)],
-    ) -> Result<NodeId, PpsError> {
-        self.append_child(parent, state, prob, actions)
-    }
-
-    fn children_replayed(
-        &mut self,
-        parent: NodeId,
-        first_template: NodeId,
-        count: usize,
-    ) -> NodeId {
-        self.append_children_replayed(parent, first_template, count)
-    }
-
-    fn mark_children_shared(&mut self, node: NodeId, state: StateId, time: Time) {
-        self.mark_level_children_shared(node, state, time);
-    }
-}
-
 /// The expansion engine: the frontier and every reusable buffer of the
-/// expansion loop, kept separate from the tree being filled (the
-/// [`ExpandTarget`] sink) so the same engine can drive both an initial
-/// unfold and later incremental growth: a retained [`Unfolder`] keeps
-/// the engine of its initial unfold — memo, scratch, frontier and all —
-/// alive across horizon extensions.
+/// expansion loop, kept separate from the tree being grown (the
+/// [`PpsExtender`]) so a failed level rolls each back on its own; a
+/// retained [`Unfolder`] keeps the engine — memo, scratch, frontier and
+/// all — alive across horizon extensions.
 ///
 /// The frontier is processed strictly in **level order** (all of time `t`
 /// before any of time `t + 1`), which makes every horizon-`h` tree a
@@ -397,10 +241,11 @@ impl<G: GlobalState, P: Probability> ExpandTarget<G, P> for PpsExtender<G, P> {
 /// every further node that reaches it. Unfolded trees revisit states
 /// heavily — merging and environment branching both funnel into shared
 /// states — which makes this the main saving of the interned pipeline.
-/// Alongside each successor list the memo keeps the sink nodes of
-/// the *first* emission: replays go through the sink's
-/// `children_replayed` fast path (state, probability, and actions shared
-/// from the template node — no per-edge re-validation, no copies).
+/// Alongside each successor list the memo keeps the nodes of the
+/// *first* emission: replays go through [`PpsExtender::append_replay`]
+/// (state, probability, and actions shared from the template nodes — no
+/// per-edge re-validation, no copies, and no second distribution sum at
+/// commit).
 /// Memo keys are dense (`time × StateId`), so the memo is a grown-on-demand
 /// flat table probed with two array reads per node, not a hash map —
 /// bounded by a total-cell budget so deep, state-diverse models (where
@@ -411,11 +256,11 @@ struct ExpansionCore<'m, M: ProtocolModel<P>, P: Probability> {
     n_agents: u32,
     /// State nodes emitted so far (the phantom root is not counted).
     node_count: usize,
-    /// The current level's nodes still to expand, all at one time:
-    /// (sink node, interned state). States live once in the sink's pool;
-    /// the frontier carries copyable ids, never clones. Only non-terminal
-    /// nodes ever enter (their `is_terminal` is consulted exactly once,
-    /// when they are pushed).
+    /// The current level's nodes still to expand, all at one time and in
+    /// ascending node order: (node, interned state). States live once in
+    /// the tree's pool; the frontier carries copyable ids, never clones.
+    /// Only non-terminal nodes ever enter (`is_terminal` is consulted once
+    /// per memoized successor, and replays reuse the verdict).
     frontier: Vec<(NodeId, StateId)>,
     /// The next level's frontier, filled while the current one expands.
     next: Vec<(NodeId, StateId)>,
@@ -423,11 +268,14 @@ struct ExpansionCore<'m, M: ProtocolModel<P>, P: Probability> {
     expansion_rows: Vec<Vec<u32>>,
     expansion_spill: HashMap<(StateId, u32), u32, FxBuildHasher>,
     dense_memo_cells: usize,
-    /// Memoized expansions: the merged successor list plus the id of the
-    /// first child node of the expansion's first emission (children are
-    /// inserted back to back, so `(first, successors.len())` names the
-    /// whole contiguous template range for bulk replay).
-    expansions: Vec<(Successors<P>, NodeId)>,
+    /// Memoized expansions: `(start, count, first child)` — the
+    /// expansion's successors are `successors[start..start + count]`, and
+    /// its first emission's children were inserted back to back from
+    /// `first child`, which names the template range for bulk replay.
+    expansions: Vec<(u32, u32, NodeId)>,
+    /// The memoized successor lists, flat: each successor's interned
+    /// state and whether it is still live (not terminal) one step later.
+    successors: Vec<(StateId, bool)>,
     /// Memo keys inserted during the level currently expanding — the undo
     /// log that lets a failed extension level roll the memo back
     /// ([`ExpansionCore::rollback_level`]).
@@ -436,8 +284,12 @@ struct ExpansionCore<'m, M: ProtocolModel<P>, P: Probability> {
     /// Each agent's move distribution, filled through
     /// [`ProtocolModel::moves`].
     per_agent: Vec<Vec<(M::Move, P)>>,
-    /// Merge probe: hash of `(actions, successor id)` → candidate slots.
-    index: HashMap<u64, Vec<usize>, FxBuildHasher>,
+    /// Merge probe: hash of `(actions, successor id)` → the latest
+    /// successor slot with that hash; `chain[slot]` is the slot before it
+    /// with the same hash ([`EXPANSION_NONE`] ends the chain). Neither
+    /// allocates once warm.
+    index: HashMap<u64, u32, FxBuildHasher>,
+    chain: Vec<u32>,
     /// The joint move under construction (odometer over `per_agent`).
     joint: Vec<M::Move>,
     /// Odometer counters, one per agent.
@@ -447,6 +299,11 @@ struct ExpansionCore<'m, M: ProtocolModel<P>, P: Probability> {
     /// The environment's successor distribution, filled through
     /// [`ProtocolModel::transition`].
     outcomes: Vec<(M::Global, P)>,
+    /// The merged successors of the expansion under construction: state,
+    /// range of its action labels in `merged_actions`, and accumulated
+    /// probability per distinct `(actions, state)` child.
+    merged: Vec<(StateId, (u32, u32), P)>,
+    merged_actions: Vec<(AgentId, ActionId)>,
 }
 
 impl<M, P> Clone for ExpansionCore<'_, M, P>
@@ -465,13 +322,17 @@ where
             expansion_spill: self.expansion_spill.clone(),
             dense_memo_cells: self.dense_memo_cells,
             expansions: self.expansions.clone(),
+            successors: self.successors.clone(),
             memo_added: self.memo_added.clone(),
             per_agent: self.per_agent.clone(),
             index: self.index.clone(),
+            chain: self.chain.clone(),
             joint: self.joint.clone(),
             counters: self.counters.clone(),
             actions: self.actions.clone(),
             outcomes: self.outcomes.clone(),
+            merged: self.merged.clone(),
+            merged_actions: self.merged_actions.clone(),
         }
     }
 }
@@ -492,13 +353,17 @@ where
             expansion_spill: HashMap::default(),
             dense_memo_cells: 0,
             expansions: Vec::new(),
+            successors: Vec::new(),
             memo_added: Vec::new(),
             per_agent: (0..n_agents).map(|_| Vec::new()).collect(),
             index: HashMap::default(),
+            chain: Vec::new(),
             joint: Vec::with_capacity(n_agents as usize),
             counters: vec![0; n_agents as usize],
             actions: Vec::new(),
             outcomes: Vec::new(),
+            merged: Vec::new(),
+            merged_actions: Vec::new(),
         }
     }
 
@@ -557,44 +422,20 @@ where
         }
     }
 
-    /// Expands level by level until the frontier empties or `cap` is
-    /// reached, returning the time the frontier stopped at. Entered with
-    /// the frontier sitting at `time`; every level is expanded atomically
-    /// ([`ExpansionCore::expand_level`]).
-    fn run_levels<T: ExpandTarget<M::Global, P>>(
-        &mut self,
-        sink: &mut T,
-        mut time: Time,
-        cap: Option<Time>,
-        config: &UnfoldConfig,
-    ) -> Result<Time, UnfoldError> {
-        while !self.frontier.is_empty() && cap != Some(time) {
-            if let Some(d) = config.max_depth {
-                if time >= d {
-                    return Err(UnfoldError::DepthExceeded { max_depth: d });
-                }
-            }
-            self.expand_level(sink, time, config, None)?;
-            self.promote_level();
-            time += 1;
-        }
-        Ok(time)
-    }
-
     /// Expands every node of the current frontier (all at `time`) into
-    /// `sink`, collecting the next level's frontier in `self.next`. The
-    /// current frontier is left intact in both outcomes — the caller
-    /// promotes the new level ([`ExpansionCore::promote_level`]) once the
-    /// sink has accepted it, which is what lets a failed
-    /// [`PpsExtender::commit_level`] roll back without a frontier
-    /// snapshot. On error the caller rolls the engine back
-    /// ([`ExpansionCore::rollback_level`]); the sink is the caller's to
-    /// unwind. When `cancel` is set, the token is polled once per
-    /// frontier node and trips through the same error path as a model
-    /// failure ([`UnfoldError::Cancelled`]).
-    fn expand_level<T: ExpandTarget<M::Global, P>>(
+    /// the open level of `sink`, collecting the next level's frontier in
+    /// `self.next`. The current frontier is left intact in both outcomes
+    /// — the caller promotes the new level
+    /// ([`ExpansionCore::promote_level`]) once
+    /// [`PpsExtender::commit_level`] has accepted it, which is what lets a
+    /// failed commit roll back without a frontier snapshot. On error the
+    /// caller rolls the engine back ([`ExpansionCore::rollback_level`])
+    /// and aborts the level. When `cancel` is set, the token is polled
+    /// once per frontier node and trips through the same error path as a
+    /// model failure ([`UnfoldError::Cancelled`]).
+    fn expand_level(
         &mut self,
-        sink: &mut T,
+        sink: &mut PpsExtender<M::Global, P>,
         time: Time,
         config: &UnfoldConfig,
         cancel: Option<&CancelToken>,
@@ -612,9 +453,8 @@ where
             i += 1;
             let memo_slot = self.memo_get(sid, time);
             if memo_slot != EXPANSION_NONE {
-                let (successors, first_template) = &self.expansions[memo_slot as usize];
-                let count = successors.len();
-                self.node_count += count;
+                let (start, count, first_template) = self.expansions[memo_slot as usize];
+                self.node_count += count as usize;
                 if self.node_count > config.max_nodes {
                     return Err(UnfoldError::TooLarge {
                         max_nodes: config.max_nodes,
@@ -622,20 +462,16 @@ where
                 }
                 // One bulk column copy for the whole expansion instead of
                 // `count` interleaved pushes.
-                let base = sink.children_replayed(node, *first_template, count);
-                for (k, (succ_id, _, _)) in successors.iter().enumerate() {
-                    if !self.model.is_terminal(sink.state(*succ_id), time + 1) {
-                        self.next.push((NodeId(base.0 + k as u32), *succ_id));
+                let base = sink.append_replay(node, first_template, count as usize);
+                let replayed = &self.successors[start as usize..(start + count) as usize];
+                for (k, &(succ_id, live)) in replayed.iter().enumerate() {
+                    if live {
+                        self.next.push((NodeId(base.0 + k as u32), succ_id));
                     }
                 }
             } else {
                 self.expand(sink, node, sid, time, config)?;
             }
-            // Every expanded node's children are (re)played from the
-            // memoized `(state, time)` successor list, so the build pass
-            // validates the outgoing distribution once per distinct pair
-            // instead of once per node.
-            sink.mark_children_shared(node, sid, time);
         }
         Ok(())
     }
@@ -648,18 +484,24 @@ where
     }
 
     /// Rolls the engine back to the state it held before the failed (or
-    /// sink-rejected) [`ExpansionCore::expand_level`]: discards the
+    /// commit-rejected) [`ExpansionCore::expand_level`]: discards the
     /// half-built next level (the expanded frontier is still in place —
     /// it only retires at [`ExpansionCore::promote_level`]), unwinds the
-    /// unwinds the memo via the per-level undo log, truncates the
-    /// expansion arena (inserts and pushes are 1:1), and restores the
-    /// node count. Dense memo rows keep their grown capacity; only the
-    /// slots are cleared.
+    /// memo via the per-level undo log, truncates the expansion arenas
+    /// (inserts and pushes are 1:1), and restores the node count. Dense
+    /// memo rows keep their grown capacity; only the slots are cleared.
     fn rollback_level(&mut self, node_count: usize) {
         self.next.clear();
         self.node_count = node_count;
         let kept = self.expansions.len() - self.memo_added.len();
         self.expansions.truncate(kept);
+        // A failed expansion may have pushed successors without a memo
+        // entry; keep exactly those of the kept expansions.
+        let end = self
+            .expansions
+            .last()
+            .map_or(0, |&(start, count, _)| start + count);
+        self.successors.truncate(end as usize);
         for &(sid, time) in &self.memo_added {
             let dense = self
                 .expansion_rows
@@ -677,9 +519,9 @@ where
 
     /// Computes a fresh expansion of `(sid, time)`, emits its children
     /// under `node`, and memoizes the successor list.
-    fn expand<T: ExpandTarget<M::Global, P>>(
+    fn expand(
         &mut self,
-        sink: &mut T,
+        sink: &mut PpsExtender<M::Global, P>,
         node: NodeId,
         sid: StateId,
         time: u32,
@@ -718,8 +560,10 @@ where
         // index compares `(actions, StateId)` — a repeated successor
         // costs one hash and one id comparison, with no state clone or
         // allocation at all.
-        let mut successors: Successors<P> = Vec::new();
+        self.merged.clear();
+        self.merged_actions.clear();
         self.index.clear();
+        self.chain.clear();
         for c in &mut self.counters {
             *c = 0;
         }
@@ -763,25 +607,34 @@ where
                 let mut hasher = FxHasher::default();
                 self.actions.hash(&mut hasher);
                 succ_id.hash(&mut hasher);
-                let bucket = self.index.entry(hasher.finish()).or_default();
-                match bucket
-                    .iter()
-                    .find(|&&i| successors[i].0 == succ_id && successors[i].1 == self.actions)
-                {
-                    Some(&i) => {
-                        successors[i].2.add_assign(&p);
+                let hash = hasher.finish();
+                let mut slot = self.index.get(&hash).copied().unwrap_or(EXPANSION_NONE);
+                while slot != EXPANSION_NONE {
+                    let (id, (lo, hi), _) = &self.merged[slot as usize];
+                    if *id == succ_id
+                        && self.merged_actions[*lo as usize..*hi as usize] == self.actions
+                    {
+                        break;
                     }
-                    None => {
-                        bucket.push(successors.len());
-                        successors.push((succ_id, self.actions.clone(), p));
-                    }
+                    slot = self.chain[slot as usize];
+                }
+                if slot == EXPANSION_NONE {
+                    let slot = self.merged.len() as u32;
+                    let previous = self.index.insert(hash, slot);
+                    self.chain.push(previous.unwrap_or(EXPANSION_NONE));
+                    let lo = self.merged_actions.len() as u32;
+                    self.merged_actions.extend_from_slice(&self.actions);
+                    let range = (lo, self.merged_actions.len() as u32);
+                    self.merged.push((succ_id, range, p));
+                } else {
+                    self.merged[slot as usize].2.add_assign(&p);
                 }
             }
             // Advance the odometer.
             let mut i = 0;
             loop {
                 if i == self.counters.len() {
-                    return self.finish_expansion(sink, node, sid, time, successors, config);
+                    return self.finish_expansion(sink, node, sid, time, config);
                 }
                 self.counters[i] += 1;
                 if self.counters[i] < self.per_agent[i].len() {
@@ -793,35 +646,39 @@ where
         }
     }
 
-    /// Emits the merged successor list under `node` and memoizes it.
-    fn finish_expansion<T: ExpandTarget<M::Global, P>>(
+    /// Emits the merged successors under `node` and memoizes them.
+    fn finish_expansion(
         &mut self,
-        sink: &mut T,
+        sink: &mut PpsExtender<M::Global, P>,
         node: NodeId,
         sid: StateId,
         time: u32,
-        successors: Successors<P>,
         config: &UnfoldConfig,
     ) -> Result<(), UnfoldError> {
+        let start = self.successors.len() as u32;
+        let count = self.merged.len() as u32;
         let mut first_child = NodeId::ROOT;
-        for (i, (succ_id, actions, p)) in successors.iter().enumerate() {
+        for (i, (succ_id, (lo, hi), p)) in self.merged.drain(..).enumerate() {
             self.node_count += 1;
             if self.node_count > config.max_nodes {
                 return Err(UnfoldError::TooLarge {
                     max_nodes: config.max_nodes,
                 });
             }
-            let child = sink.child_interned(node, *succ_id, p.clone(), actions)?;
+            let actions = &self.merged_actions[lo as usize..hi as usize];
+            let child = sink.append_child(node, succ_id, p, actions)?;
             if i == 0 {
                 first_child = child;
             }
-            if !self.model.is_terminal(sink.state(*succ_id), time + 1) {
-                self.next.push((child, *succ_id));
+            let live = !self.model.is_terminal(sink.state(succ_id), time + 1);
+            if live {
+                self.next.push((child, succ_id));
             }
+            self.successors.push((succ_id, live));
         }
         let slot = self.expansions.len() as u32;
         self.memo_insert(sid, time, slot);
-        self.expansions.push((successors, first_child));
+        self.expansions.push((start, count, first_child));
         Ok(())
     }
 }
@@ -833,16 +690,14 @@ where
 /// calls, so growing a tree from horizon `h` to `h + 1`
 /// ([`Unfolder::extend_horizon`]) expands only the previous leaf frontier
 /// and incrementally repairs the derived run/cell indexes through a
-/// [`PpsExtender`] — instead of re-running the whole unfold + build
-/// pipeline.
+/// [`PpsExtender`]. [`Unfolder::new`] builds its first tree by the same
+/// level step, so [`unfold_with`] is `Unfolder::new(..)?.into_pps()`.
 ///
-/// The grown system is **bit-identical** — pool ids, node order, run
-/// probabilities, cells, action events — to a from-scratch unfold of the
-/// same model capped at the same horizon
-/// (`UnfoldConfig { horizon: Some(h), .. }`): a contract the differential
-/// harness proves across the seeded sweep and every `pak-systems`
-/// protocol. On error, `extend_horizon` rolls both the engine and the
-/// tree back to the previous horizon and the handle stays usable.
+/// A tree grown to horizon `h` is therefore the tree of a capped unfold
+/// (`UnfoldConfig { horizon: Some(h), .. }`), and the differential
+/// suites check it against the whole-tree build pass over the same
+/// nodes. On error, `extend_horizon` rolls both the engine and the tree
+/// back to the previous horizon and the handle stays usable.
 ///
 /// # Examples
 ///
@@ -905,19 +760,36 @@ where
     P: Probability,
 {
     /// Unfolds `model` up to `config.horizon` (or to exhaustion when it is
-    /// `None`) and retains everything needed to grow further.
+    /// `None`) and retains everything needed to grow further: the prior
+    /// is built through a [`PpsBuilder`], then every level is committed
+    /// by the step [`Unfolder::extend_horizon`] uses.
     ///
     /// # Errors
     ///
     /// See [`UnfoldError`].
     pub fn new(model: &'m M, config: UnfoldConfig) -> Result<Self, UnfoldError> {
-        let (core, builder, horizon) = unfold_levels(model, &config)?;
-        Ok(Unfolder {
-            extender: PpsExtender::new(builder.build()?),
+        let n_agents = model.n_agents();
+        let initial = model.initial_states();
+        validate_distribution(&initial).map_err(|detail| UnfoldError::BadModelDistribution {
+            origin: "initial_states",
+            detail,
+        })?;
+        if initial.len() > config.max_nodes {
+            return Err(UnfoldError::TooLarge {
+                max_nodes: config.max_nodes,
+            });
+        }
+        let mut core = ExpansionCore::new(model, n_agents);
+        let mut prior = PpsBuilder::new(n_agents);
+        core.seed(&mut prior, initial)?;
+        let mut unfolder = Unfolder {
+            extender: PpsExtender::new(prior.build()?),
             config,
             core,
-            horizon,
-        })
+            horizon: 0,
+        };
+        while unfolder.config.horizon != Some(unfolder.horizon) && unfolder.grow_level(None)? {}
+        Ok(unfolder)
     }
 
     /// The system unfolded so far. Valid (and queryable) after every
@@ -996,6 +868,17 @@ where
             if token.is_cancelled() {
                 return Err(UnfoldError::Cancelled);
             }
+        }
+        self.grow_level(cancel)
+    }
+
+    /// The one step every tree grows by: expands the retained frontier
+    /// into a new level and commits it. Returns `Ok(false)` once every
+    /// path has terminated. On error both the engine and the tree are
+    /// rolled back to the previous horizon.
+    fn grow_level(&mut self, cancel: Option<&CancelToken>) -> Result<bool, UnfoldError> {
+        if self.core.frontier.is_empty() {
+            return Ok(false);
         }
         if let Some(d) = self.config.max_depth {
             if self.horizon >= d {

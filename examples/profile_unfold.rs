@@ -1,33 +1,22 @@
-//! Phase profiler for the unfold hot path.
+//! Profiler for the unfold hot path.
 //!
 //! Prints how interning compacts the tree (distinct states vs nodes) and
-//! the per-iteration cost of the full unfold pipeline on the scaling
-//! benchmark's workloads, split into its two phases:
-//!
-//! * **tree** — protocol enumeration into the raw builder
-//!   (`unfold_to_builder`): moves, transitions, merging, memoized
-//!   expansion replay;
-//! * **build** — the validation/indexing pass (`PpsBuilder::build`): run
-//!   enumeration, distribution validation, cell construction.
-//!
-//! The build share is the number to watch PR over PR: it is what the
-//! interned build pass (validation memoization, `LocalId` cells,
-//! word-filled run-sets) is meant to keep from dominating. The **extend**
-//! column puts incremental growth next to the rebuild: the cost of
-//! growing a retained `Unfolder` from `horizon − 1` to `horizon` (one
-//! frontier expansion + index repair) vs re-unfolding the whole horizon
-//! tree from scratch. Useful for eyeballing perf work without running
-//! the whole bench suite:
+//! the per-iteration cost of a full unfold on the scaling benchmark's
+//! workloads, next to incremental growth: the **extend** column is the
+//! cost of growing a retained `Unfolder` from `horizon − 1` to `horizon`
+//! (one frontier expansion + index repair) against unfolding the whole
+//! horizon tree from scratch. Useful for eyeballing perf work without
+//! running the whole bench suite:
 //!
 //! ```text
 //! cargo run --release --example profile_unfold
 //! ```
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use pak::num::Rational;
 use pak::protocol::generator::{random_model, RandomModelConfig};
-use pak::protocol::unfold::{unfold_to_builder, unfold_with, UnfoldConfig, Unfolder};
+use pak::protocol::unfold::{unfold_with, UnfoldConfig, Unfolder};
 
 fn main() {
     for horizon in [2u32, 3, 4, 5, 6] {
@@ -44,41 +33,15 @@ fn main() {
         let pps = unfold_with(&model, &UnfoldConfig::default()).unwrap();
         let iters = (200_000u32 >> horizon).max(1_000);
 
-        // Full pipeline.
         let t = Instant::now();
         for _ in 0..iters {
             std::hint::black_box(unfold_with(&model, &UnfoldConfig::default()).unwrap());
         }
         let full = t.elapsed() / iters;
 
-        // Tree phase alone.
-        let t = Instant::now();
-        for _ in 0..iters {
-            std::hint::black_box(
-                unfold_to_builder::<_, Rational>(&model, &UnfoldConfig::default()).unwrap(),
-            );
-        }
-        let tree = t.elapsed() / iters;
-
-        // The build phase is measured directly too (on clones of one
-        // builder, with the clone cost subtracted) as a cross-check; the
-        // headline split below uses full − tree so the two columns sum.
-        let builder = unfold_to_builder::<_, Rational>(&model, &UnfoldConfig::default()).unwrap();
-        let t = Instant::now();
-        for _ in 0..iters {
-            std::hint::black_box(builder.clone());
-        }
-        let clone = t.elapsed() / iters;
-        let t = Instant::now();
-        for _ in 0..iters {
-            std::hint::black_box(builder.clone().build().unwrap());
-        }
-        let build_direct = (t.elapsed() / iters).saturating_sub(clone);
-
         // Incremental growth: the cost of the final extend(h−1 → h) on a
         // retained handle, measured on clones of the horizon-(h−1) handle
-        // with the clone cost subtracted — against `full`, the from-scratch
-        // rebuild of the same horizon-h tree.
+        // with the clone cost subtracted.
         let parked = Unfolder::<_, Rational>::new(
             &model,
             UnfoldConfig {
@@ -100,13 +63,9 @@ fn main() {
         }
         let extend = (t.elapsed() / iters).saturating_sub(handle_clone);
 
-        let build = full.saturating_sub(tree);
-        let share = |d: Duration| 100.0 * d.as_secs_f64() / full.as_secs_f64().max(1e-12);
         println!(
-            "horizon {horizon}: {full:>9.2?}/unfold = tree {tree:>8.2?} ({:>4.1}%) + build {build:>8.2?} ({:>4.1}%, direct {build_direct:.2?}) | extend {extend:>8.2?} ({:>4.1}% of rebuild) | nodes={:<5} runs={:<4} distinct states={:<3} ({}x shared)",
-            share(tree),
-            share(build),
-            share(extend),
+            "horizon {horizon}: {full:>9.2?}/unfold | extend {extend:>8.2?} ({:>4.1}% of unfold) | nodes={:<5} runs={:<4} distinct states={:<3} ({}x shared)",
+            100.0 * extend.as_secs_f64() / full.as_secs_f64().max(1e-12),
             pps.num_nodes(),
             pps.num_runs(),
             pps.num_distinct_states(),

@@ -111,11 +111,10 @@ fn unfold_faults_roll_back_and_retry_bit_identically() {
             drop(guard);
             // The handle survived the faults; finish growing fault-free.
             while u.extend_horizon().unwrap() {}
-            common::assert_identical_systems(
-                &reference,
-                u.pps(),
-                &format!("site {site} seed {seed}: retry must match uninterrupted growth"),
-            );
+            let ctx = format!("site {site} seed {seed}: retry must match uninterrupted growth");
+            common::assert_identical_systems(&reference, u.pps(), &ctx);
+            let rebuilt = common::rebuild_through_builder(u.pps());
+            common::assert_identical_systems(&rebuilt, u.pps(), &ctx);
         }
         assert!(fired_total > 0, "site {site} never fired across the sweep");
     }

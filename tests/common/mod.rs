@@ -1,5 +1,6 @@
 //! Helpers shared by the differential test layer
-//! (`unfold_differential.rs`, `systems_unfold_smoke.rs`).
+//! (`unfold_differential.rs`, `systems_unfold_smoke.rs`,
+//! `dsl_differential.rs`, `extension_properties.rs`).
 
 use pak::core::prelude::*;
 use pak::num::Rational;
@@ -55,4 +56,38 @@ pub fn assert_identical_systems<G: GlobalState>(
         assert_eq!(ia, ib, "{ctx}: cell id order");
         assert_eq!(ca, cb, "{ctx}: cell {ia}");
     }
+}
+
+/// Rebuilds `pps` through [`PpsBuilder`]'s whole-tree build pass: the
+/// state pool is re-interned in id order, then every node is replayed in
+/// id order (state id, edge probability, action labels) and the tree is
+/// built. Unfolded trees grow level by level through `PpsExtender`, so
+/// this is the independent reference a grown tree must equal.
+pub fn rebuild_through_builder<G: GlobalState>(pps: &Pps<G, Rational>) -> Pps<G, Rational> {
+    let mut b = PpsBuilder::new(pps.num_agents());
+    for (id, state) in pps.state_pool().iter() {
+        assert_eq!(b.intern(state.clone()), id, "pool re-interns in id order");
+    }
+    for n in (1..pps.num_nodes() as u32).map(NodeId) {
+        let parent = pps.parent(n);
+        let (_, prob) = pps
+            .children(parent)
+            .find(|&(c, _)| c == n)
+            .expect("a node is among its parent's children");
+        let sid = pps.node_state_id(n);
+        let id = if parent == NodeId::ROOT {
+            b.initial_interned(sid, prob.clone())
+        } else {
+            // The labels on the edge into `n` are the actions at its
+            // parent's point on any run through `n`.
+            let run = pps.runs_through(n).iter().next().expect("a run passes n");
+            let pt = Point {
+                run,
+                time: pps.node_time(parent),
+            };
+            b.child_interned(parent, sid, prob.clone(), pps.actions_at(pt))
+        };
+        assert_eq!(id.expect("replayed node is valid"), n, "node order");
+    }
+    b.build().expect("a grown tree rebuilds")
 }

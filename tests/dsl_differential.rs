@@ -251,11 +251,10 @@ fn check_program(seed: u64, src: &str) {
             },
         )
         .expect("from-scratch unfold");
-        common::assert_identical_systems(
-            &scratch,
-            u.pps(),
-            &format!("seed {seed}: extension at horizon {}", u.horizon()),
-        );
+        let step = format!("seed {seed}: extension at horizon {}", u.horizon());
+        common::assert_identical_systems(&scratch, u.pps(), &step);
+        let rebuilt = common::rebuild_through_builder(u.pps());
+        common::assert_identical_systems(&rebuilt, u.pps(), &step);
         if !u.extend_horizon().expect("extension within budget") {
             break;
         }

@@ -297,6 +297,72 @@ fn hand_built_tree_extends_via_extender() {
         .eq(&Rational::from_ratio(1, 3)));
 }
 
+/// A hand-built tree in depth-first node order — an internal node's
+/// children come after a frontier leaf's id — extends too. The level's
+/// children cannot simply append to the child arena there, so the
+/// extender rebuilds it by counting sort; the result equals the builder
+/// pass over the same node order.
+#[test]
+fn depth_first_hand_built_tree_extends_via_counting_sort() {
+    let s = |env: u64, local: u64| SimpleState::new(env, vec![local]);
+    let r = Rational::from_ratio;
+    let act = [(AgentId(0), ActionId(0))];
+    // Nodes 1..=5 in depth-first order: a0 → a1, then b0 → {b1, b2}.
+    // The frontier leaf a1 (node 2) precedes b0's children.
+    let prior = |b: &mut PpsBuilder<SimpleState, Rational>| {
+        let a0 = b.initial(s(0, 0), r(1, 4)).unwrap();
+        let a1 = b.child(a0, s(1, 1), Rational::one(), &[]).unwrap();
+        let b0 = b.initial(s(2, 0), r(3, 4)).unwrap();
+        let b1 = b.child(b0, s(3, 2), r(1, 2), &act).unwrap();
+        b.child(b0, s(4, 2), r(1, 2), &[]).unwrap();
+        (a1, b1)
+    };
+    let mut b = PpsBuilder::<SimpleState, Rational>::new(1);
+    let (a1, b1) = prior(&mut b);
+    let mut ext = PpsExtender::new(b.build().unwrap());
+    ext.begin_level();
+    let x = ext.intern(s(5, 3));
+    let y = ext.intern(s(6, 3));
+    let first = ext.append_child(a1, x, r(1, 3), &act).unwrap();
+    ext.append_child(a1, y, r(2, 3), &[]).unwrap();
+    ext.append_replay(b1, first, 2);
+    ext.commit_level().unwrap();
+    let grown = ext.into_pps();
+
+    let mut b2 = PpsBuilder::<SimpleState, Rational>::new(1);
+    let (a1, b1) = prior(&mut b2);
+    for parent in [a1, b1] {
+        b2.child(parent, s(5, 3), r(1, 3), &act).unwrap();
+        b2.child(parent, s(6, 3), r(2, 3), &[]).unwrap();
+    }
+    let want = b2.build().unwrap();
+    common::assert_identical_systems(&want, &grown, "depth-first extension");
+    common::assert_identical_systems(
+        &common::rebuild_through_builder(&grown),
+        &grown,
+        "depth-first extension rebuilt",
+    );
+    assert_eq!(grown.num_runs(), 5);
+}
+
+/// The extender takes parents in ascending id order only.
+#[test]
+#[should_panic(expected = "parents must ascend")]
+fn extender_rejects_a_descending_parent() {
+    let mut b = PpsBuilder::<SimpleState, Rational>::new(1);
+    let first = b
+        .initial(SimpleState::new(0, vec![0]), Rational::from_ratio(1, 2))
+        .unwrap();
+    let second = b
+        .initial(SimpleState::new(1, vec![0]), Rational::from_ratio(1, 2))
+        .unwrap();
+    let mut ext = PpsExtender::new(b.build().unwrap());
+    ext.begin_level();
+    let sid = ext.intern(SimpleState::new(2, vec![1]));
+    ext.append_child(second, sid, Rational::one(), &[]).unwrap();
+    ext.append_child(first, sid, Rational::one(), &[]).unwrap();
+}
+
 #[test]
 fn envelope_min_max_bracket_expected() {
     let pps = random_pps::<Rational>(5, &cfg(5)).unwrap();

@@ -434,6 +434,10 @@ fn adversary_variants_never_alias_in_the_cache() {
     // The mirror variant is semantically the base model — same tree,
     // different identity — while hostile genuinely differs.
     common::assert_identical_systems(&trees[0], &trees[1], "mirror ≡ base semantically");
+    // Served trees are grown level by level; the whole-tree build pass
+    // over the same nodes agrees.
+    let rebuilt = common::rebuild_through_builder(&trees[0]);
+    common::assert_identical_systems(&rebuilt, &trees[0], "served tree ≡ build pass");
     let up_at_2 = |tree: &Pps<SimpleState, Rational>| {
         Evaluator::new(tree).measure_at_time(
             &Formula::atom(StateFact::new("up", |g: &SimpleState| g.env == 1)),

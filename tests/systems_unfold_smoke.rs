@@ -15,8 +15,10 @@
 //! * a retained `Unfolder` grown one level at a time (0→1→…→h) —
 //!
 //! and the grown system must be *identical* to the from-scratch unfold
-//! capped at every intermediate horizon: same nodes in the same order,
-//! bit-equal run probabilities, identical cells and action events. On top
+//! capped at every intermediate horizon and to the whole-tree build pass
+//! over the same nodes (`common::rebuild_through_builder`): same nodes in
+//! the same order, bit-equal run probabilities, identical cells and
+//! action events. On top
 //! of that, exact-sum checks (`µ(R_T) = 1` and every internal node's
 //! outgoing distribution summing exactly to one) hold on each result, and
 //! scenarios with a hand-built [`PpsBuilder`] twin are proved observably
@@ -25,7 +27,7 @@
 
 mod common;
 
-use common::assert_identical_systems;
+use common::{assert_identical_systems, rebuild_through_builder};
 use pak::core::prelude::*;
 use pak::num::Rational;
 use pak::protocol::model::ProtocolModel;
@@ -158,7 +160,9 @@ where
             },
         )
         .unwrap();
-        assert_identical_systems(&scratch, grown.pps(), &format!("{ctx} [grown h={h}]"));
+        let step = format!("{ctx} [grown h={h}]");
+        assert_identical_systems(&scratch, grown.pps(), &step);
+        assert_identical_systems(&rebuild_through_builder(grown.pps()), grown.pps(), &step);
         if !grown.extend_horizon().unwrap() {
             break;
         }

@@ -20,19 +20,20 @@
 //! consistency checks (ids resolve to the states the reference stores at
 //! every point, and the pool holds no duplicates).
 //!
-//! The *build* pass is proved the same way: the old per-node cell
+//! Cell construction is proved the same way: the old per-node cell
 //! construction (clone + hash a full local per node, insert runs one bit
 //! at a time) is retained as [`reference_cells`], and the sweep asserts
-//! the production pass — per-agent `LocalId` interning, word-filled
-//! run-sets from contiguous run ranges, validation memoized per distinct
-//! expansion — produces identical `cells`, `cell_of`, and run ranges,
-//! with bit-equal run probabilities.
+//! that the grown tree's cells (per-agent `LocalId` interning,
+//! word-filled run-sets from contiguous run ranges) are identical:
+//! `cells`, `cell_of`, and run ranges, with bit-equal run probabilities.
 //!
 //! **Incremental horizon growth** is swept the same way: a retained
 //! [`Unfolder`] grown one level at a time must equal a from-scratch unfold
 //! capped at every intermediate horizon *exactly* — same pool ids, same
 //! node order, same parents/states/times, bit-equal run probabilities,
-//! identical cells.
+//! identical cells. Both are grown by the same level step, so every
+//! grown tree is also checked against the whole-tree build pass over the
+//! same nodes (`common::rebuild_through_builder`).
 //!
 //! A second battery property-tests [`CartesianMoves`]: across randomized
 //! distribution shapes (including singletons and the zero-agent case) the
@@ -306,8 +307,12 @@ fn assert_extension_matches_scratch(model: &TableModel<Rational>, ctx: &str) {
         )
         .unwrap();
         let step = format!("{ctx} [grown h={h}]");
-        // Strict id-level identity (pool ids, node order, runs, cells)…
+        // Strict id-level identity (pool ids, node order, runs, cells)
+        // with a capped unfold, and with the whole-tree build pass over
+        // the same nodes…
         common::assert_identical_systems(&scratch, unfolder.pps(), &step);
+        let rebuilt = common::rebuild_through_builder(unfolder.pps());
+        common::assert_identical_systems(&rebuilt, unfolder.pps(), &step);
         // …and every theory-level observable, action events included.
         assert_identical(unfolder.pps(), &scratch, &step);
         if !unfolder.extend_horizon().unwrap() {
@@ -385,9 +390,9 @@ fn hash_merge_matches_reference_merge_across_sweep() {
                     );
                     assert_identical(&got, &want, &ctx);
                     assert!(got.measure(&got.all_runs()).is_one(), "{ctx}: total");
-                    // The build pass itself: interned/word-filled cells vs
-                    // the retained per-node reference, on both the memoized
-                    // production tree and the mark-free reference tree.
+                    // Interned/word-filled cells vs the retained per-node
+                    // reference, on both the grown production tree and the
+                    // builder-built reference tree.
                     assert_cells_match_reference(&got, &ctx);
                     assert_cells_match_reference(&want, &format!("{ctx} [reference tree]"));
                     cases += 1;
