@@ -821,6 +821,11 @@ impl<G: GlobalState, P: Probability> Pps<G, P> {
     /// The cell (information set) of agent `agent` at `point`.
     ///
     /// Returns `None` if the run has ended before `point.time`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `agent` is not one of the system's
+    /// [`num_agents`](Pps::num_agents) agents.
     #[must_use]
     pub fn cell_at(&self, agent: AgentId, point: Point) -> Option<CellId> {
         let node = self.node_at(point.run, point.time)?;

@@ -81,6 +81,13 @@ pub struct Verdict {
 /// single-formula checks the naive [`ModelChecker`](pak_logic::ModelChecker)
 /// remains available (and is the differential reference).
 ///
+/// # Panics
+///
+/// Every query method panics if its formula has a `K` or `B` operator
+/// naming an agent the system lacks; check
+/// [`Formula::agent_outside`](pak_logic::Formula::agent_outside) first
+/// when formulas come from outside.
+///
 /// # Examples
 ///
 /// ```
@@ -314,6 +321,10 @@ impl<'p, G: GlobalState, P: Probability> Evaluator<'p, G, P> {
     /// The event `{r : (T, r, t) |= ϕ}` — bit-identical to
     /// [`ModelChecker::event_at_time`](pak_logic::ModelChecker::event_at_time),
     /// quantifying over the runs alive at `time`. Empty past the horizon.
+    ///
+    /// # Panics
+    ///
+    /// If a `K` or `B` operator in `f` names an agent the system lacks.
     pub fn event_at_time(&mut self, f: &Formula<G, P>, time: Time) -> RunSet {
         let id = self.ensure(f);
         match self.truth[id.index()].get(time as usize) {
@@ -325,6 +336,10 @@ impl<'p, G: GlobalState, P: Probability> Evaluator<'p, G, P> {
     /// The measure `µ_T({r : (T, r, t) |= ϕ})` over live runs, matching
     /// [`ModelChecker::measure_at_time`](pak_logic::ModelChecker::measure_at_time)
     /// bit for bit (same event, same ascending accumulation order).
+    ///
+    /// # Panics
+    ///
+    /// If a `K` or `B` operator in `f` names an agent the system lacks.
     pub fn measure_at_time(&mut self, f: &Formula<G, P>, time: Time) -> P {
         let event = self.event_at_time(f, time);
         self.pps.measure(&event)
@@ -332,6 +347,10 @@ impl<'p, G: GlobalState, P: Probability> Evaluator<'p, G, P> {
 
     /// Three-valued truth at a point: `None` exactly at dead points — the
     /// batched twin of [`Formula::eval_at`].
+    ///
+    /// # Panics
+    ///
+    /// If a `K` or `B` operator in `f` names an agent the system lacks.
     pub fn eval_at(&mut self, f: &Formula<G, P>, point: Point) -> Option<bool> {
         if !self.pps.is_live(point) {
             return None;
@@ -342,11 +361,19 @@ impl<'p, G: GlobalState, P: Probability> Evaluator<'p, G, P> {
 
     /// Boolean truth at a point (`false` at dead points), the batched twin
     /// of [`Formula::holds_at`].
+    ///
+    /// # Panics
+    ///
+    /// If a `K` or `B` operator in `f` names an agent the system lacks.
     pub fn holds_at(&mut self, f: &Formula<G, P>, point: Point) -> bool {
         self.eval_at(f, point) == Some(true)
     }
 
     /// Whether `f` holds at every live point.
+    ///
+    /// # Panics
+    ///
+    /// If a `K` or `B` operator in `f` names an agent the system lacks.
     pub fn valid(&mut self, f: &Formula<G, P>) -> bool {
         let id = self.ensure(f);
         self.truth[id.index()]
@@ -356,6 +383,10 @@ impl<'p, G: GlobalState, P: Probability> Evaluator<'p, G, P> {
     }
 
     /// Whether `f` holds at some live point.
+    ///
+    /// # Panics
+    ///
+    /// If a `K` or `B` operator in `f` names an agent the system lacks.
     pub fn satisfiable(&mut self, f: &Formula<G, P>) -> bool {
         let id = self.ensure(f);
         self.truth[id.index()].iter().any(|set| !set.is_empty())
@@ -364,6 +395,10 @@ impl<'p, G: GlobalState, P: Probability> Evaluator<'p, G, P> {
     /// The first live point in `(run, time)` order at which `f` fails —
     /// the same point [`ModelChecker::counterexample`](pak_logic::ModelChecker::counterexample)
     /// reports.
+    ///
+    /// # Panics
+    ///
+    /// If a `K` or `B` operator in `f` names an agent the system lacks.
     pub fn counterexample(&mut self, f: &Formula<G, P>) -> Option<Point> {
         let id = self.ensure(f);
         let table = &self.truth[id.index()];
@@ -374,6 +409,10 @@ impl<'p, G: GlobalState, P: Probability> Evaluator<'p, G, P> {
 
     /// All live points satisfying `f`, in `(run, time)` order — matching
     /// [`ModelChecker::satisfying_points`](pak_logic::ModelChecker::satisfying_points).
+    ///
+    /// # Panics
+    ///
+    /// If a `K` or `B` operator in `f` names an agent the system lacks.
     pub fn satisfying_points(&mut self, f: &Formula<G, P>) -> Vec<Point> {
         let id = self.ensure(f);
         let table = &self.truth[id.index()];
@@ -384,6 +423,10 @@ impl<'p, G: GlobalState, P: Probability> Evaluator<'p, G, P> {
     }
 
     /// Evaluates one formula to a [`Verdict`].
+    ///
+    /// # Panics
+    ///
+    /// If a `K` or `B` operator in `f` names an agent the system lacks.
     pub fn evaluate(&mut self, f: &Formula<G, P>) -> Verdict {
         let id = self.ensure(f);
         self.verdict_of(id)
@@ -413,6 +456,11 @@ impl<'p, G: GlobalState, P: Probability> Evaluator<'p, G, P> {
     /// shared across the whole slice (and with every earlier query on
     /// this evaluator): each distinct subformula is evaluated once, no
     /// matter how many formulas contain it.
+    ///
+    /// # Panics
+    ///
+    /// If a `K` or `B` operator in a formula names an agent the system
+    /// lacks.
     pub fn evaluate_batch(&mut self, formulas: &[Formula<G, P>]) -> Vec<Verdict> {
         formulas.iter().map(|f| self.evaluate(f)).collect()
     }
@@ -426,6 +474,11 @@ impl<'p, G: GlobalState, P: Probability> Evaluator<'p, G, P> {
     /// to that point stay memoized and valid, so re-running the same
     /// batch (on this evaluator or a fresh one over the same tree)
     /// yields verdicts bit-identical to an uninterrupted call.
+    ///
+    /// # Panics
+    ///
+    /// If a `K` or `B` operator in a formula names an agent the system
+    /// lacks.
     pub fn evaluate_batch_with(
         &mut self,
         formulas: &[Formula<G, P>],
@@ -444,6 +497,10 @@ impl<'p, G: GlobalState, P: Probability> Evaluator<'p, G, P> {
     ///
     /// [`Cancelled`] when the token trips; partial progress stays
     /// memoized exactly as for [`Evaluator::evaluate_batch_with`].
+    ///
+    /// # Panics
+    ///
+    /// If a `K` or `B` operator in `f` names an agent the system lacks.
     pub fn measure_at_time_with(
         &mut self,
         f: &Formula<G, P>,

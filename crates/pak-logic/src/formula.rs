@@ -136,6 +136,30 @@ impl<G: GlobalState, P: Probability> Formula<G, P> {
         Formula::Always(Arc::new(self))
     }
 
+    /// The first agent (depth first, left to right) that a `K` or `B`
+    /// operator of the formula names and a system of `n_agents` agents
+    /// lacks. Such a formula cannot be evaluated on that system: its
+    /// modalities have no cells to range over.
+    #[must_use]
+    pub fn agent_outside(&self, n_agents: u32) -> Option<AgentId> {
+        match self {
+            Formula::Knows(agent, _) | Formula::BelievesAtLeast(agent, _, _)
+                if agent.0 >= n_agents =>
+            {
+                Some(*agent)
+            }
+            Formula::Knows(_, x)
+            | Formula::BelievesAtLeast(_, x, _)
+            | Formula::Not(x)
+            | Formula::Eventually(x)
+            | Formula::Always(x) => x.agent_outside(n_agents),
+            Formula::And(a, b) | Formula::Or(a, b) | Formula::Implies(a, b) => a
+                .agent_outside(n_agents)
+                .or_else(|| b.agent_outside(n_agents)),
+            Formula::True | Formula::False | Formula::Atom(_) | Formula::Does(..) => None,
+        }
+    }
+
     /// Evaluates the formula at a point of a pps, as a Boolean.
     ///
     /// This is the two-valued view of [`Formula::eval_at`], which states
@@ -168,6 +192,11 @@ impl<G: GlobalState, P: Probability> Formula<G, P> {
     /// the result is `None` — for `⊤` and `⊥` as much as for any other
     /// formula — and evaluation never panics, even for out-of-range run
     /// ids.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a `K` or `B` operator names an agent the system lacks
+    /// (see [`Formula::agent_outside`]).
     #[must_use]
     pub fn eval_at(&self, pps: &Pps<G, P>, point: Point) -> Option<bool> {
         if !pps.is_live(point) {
@@ -306,6 +335,21 @@ mod tests {
 
     fn heads() -> Formula<SimpleState, Rational> {
         Formula::atom(StateFact::new("heads", |g: &SimpleState| g.env == 1))
+    }
+
+    #[test]
+    fn agent_outside_finds_the_first_missing_modal_agent() {
+        let k1 = Formula::knows(AgentId(1), heads());
+        let b3 = Formula::believes_at_least(AgentId(3), heads(), r(1, 2));
+        assert_eq!(k1.agent_outside(2), None);
+        assert_eq!(k1.agent_outside(1), Some(AgentId(1)));
+        let nested = heads().and(b3.clone().eventually()).or(k1.not());
+        assert_eq!(nested.agent_outside(1), Some(AgentId(3)));
+        assert_eq!(nested.agent_outside(2), Some(AgentId(3)));
+        assert_eq!(nested.agent_outside(4), None);
+        // `does` names an agent but quantifies over no cell.
+        let does = Formula::<SimpleState, Rational>::does(AgentId(9), ActionId(0));
+        assert_eq!(does.agent_outside(1), None);
     }
 
     #[test]

@@ -5,7 +5,7 @@ use core::fmt;
 use core::ops::{Add, AddAssign, Div, Mul, MulAssign, Rem, Shl, Shr, Sub, SubAssign};
 use core::str::FromStr;
 
-use crate::fixed::{self, FixedUint, FIXED_LIMBS};
+use crate::limbs;
 use crate::parse::ParseNumberError;
 
 /// An unsigned arbitrary-precision integer.
@@ -20,20 +20,24 @@ use crate::parse::ParseNumberError;
 ///   runs on machine words (widening to `u128` where needed) and never
 ///   touches the allocator.
 /// * **Fixed** — values in `(u64::MAX, 2^FIXED_BITS)` are held in a
-///   stack-resident `[u64; 3]` little-endian limb array
+///   stack-resident `[u64; 3]` little-endian word array
 ///   ([`BigUint::FIXED_BITS`] is `192`). Additions, subtractions,
 ///   multiplications, divisions, and gcds between inline/fixed operands
 ///   stay entirely on the stack; only results crossing `2^FIXED_BITS`
 ///   escalate.
 /// * **Heap** — values of at least `2^FIXED_BITS` are stored as
-///   little-endian base-2³² limbs with no trailing zero limbs (so the limb
-///   vector always has at least seven limbs).
+///   little-endian 64-bit words with no zero word on top (so the vector
+///   always has at least four words).
+///
+/// The fixed and heap tiers share one set of `u64`-word kernels; they
+/// differ only in where the kernels' operands and results live: stack
+/// arrays of a fixed width, or vectors.
 ///
 /// The representation is **canonical**: a given value has exactly one
 /// representation, so the derived `PartialEq`/`Hash` are value equality,
 /// `Display` prints identical digits whichever tier a value came from, and
 /// every result that shrinks across a tier boundary is normalised back
-/// down (heap → fixed → inline) by the internal constructors. All
+/// down (heap → fixed → inline) by the internal constructor. All
 /// arithmetic is exact.
 ///
 /// # Panics
@@ -58,39 +62,29 @@ pub struct BigUint {
 }
 
 /// The three storage variants. Invariants: `Fixed` holds only values
-/// strictly greater than `u64::MAX` (so its significant-limb count is
-/// always ≥ 2), `Heap` holds only values of at least `2^(64·FIXED_LIMBS)`,
-/// as normalised little-endian limbs (≥ `2·FIXED_LIMBS + 1` limbs, no
-/// trailing zeros); everything word-sized is `Inline`. The variants are
-/// therefore strictly ordered by value range, which `Ord` exploits.
+/// strictly greater than `u64::MAX`, zero-padded on top (so two or three
+/// significant words); `Heap` holds only values of at least
+/// `2^(64·FIXED_LIMBS)` with no zero word on top; everything word-sized is
+/// `Inline`. The variants are therefore strictly ordered by value range.
 #[derive(Clone, PartialEq, Eq, Hash)]
 enum Repr {
     Inline(u64),
-    Fixed(FixedUint<FIXED_LIMBS>),
-    Heap(Vec<u32>),
+    Fixed([u64; FIXED_LIMBS]),
+    Heap(Vec<u64>),
 }
 
-const LIMB_BITS: u32 = 32;
+/// Number of 64-bit words in the fixed tier.
+///
+/// Three words keep `Repr` the same size as its `Vec` heap variant (24
+/// bytes + discriminant), so the tier does not enlarge every probability
+/// in the workspace, while covering magnitudes up to `2^192 − 1` — enough
+/// for products of two-word numerators/denominators with room for a carry
+/// word.
+const FIXED_LIMBS: usize = 3;
 
-/// A stack-resident view of a value's limbs: inline and fixed values
-/// materialise their limbs in a local buffer, heap values borrow their
-/// vector. This is what lets the mixed-representation code paths share one
-/// set of limb algorithms without allocating.
-struct LimbView<'a> {
-    buf: [u32; 2 * FIXED_LIMBS],
-    len: usize,
-    heap: Option<&'a [u32]>,
-}
-
-impl LimbView<'_> {
-    #[inline]
-    fn as_slice(&self) -> &[u32] {
-        match self.heap {
-            Some(h) => h,
-            None => &self.buf[..self.len],
-        }
-    }
-}
+/// Words of stack scratch: a full fixed × fixed product, the widest result
+/// any fixed-tier operation produces.
+const STACK_WORDS: usize = 2 * FIXED_LIMBS;
 
 impl BigUint {
     /// The value `0`.
@@ -132,83 +126,53 @@ impl BigUint {
         match u64::try_from(v) {
             Ok(w) => Self::from_u64(w),
             Err(_) => BigUint {
-                repr: Repr::Fixed(FixedUint::from_u128(v)),
+                repr: Repr::Fixed([v as u64, (v >> 64) as u64, 0]),
             },
         }
     }
 
-    /// Creates a value from little-endian limbs, normalising trailing
-    /// zeros and dropping the result into the lowest tier it fits:
-    /// inline for word-sized values, fixed up to `2 × FIXED_LIMBS` limbs,
-    /// heap beyond.
-    #[must_use]
-    pub(crate) fn from_limbs(mut limbs: Vec<u32>) -> Self {
-        while limbs.last() == Some(&0) {
-            limbs.pop();
-        }
-        match limbs.len() {
-            0 => Self::zero(),
-            1 => Self::from_u64(u64::from(limbs[0])),
-            2 => Self::from_u64(u64::from(limbs[0]) | (u64::from(limbs[1]) << 32)),
-            n if n <= 2 * FIXED_LIMBS => {
-                let mut words = [0u64; FIXED_LIMBS];
-                for (i, chunk) in limbs.chunks(2).enumerate() {
-                    let hi = chunk.get(1).map_or(0, |&h| u64::from(h));
-                    words[i] = u64::from(chunk[0]) | (hi << 32);
-                }
-                BigUint {
-                    repr: Repr::Fixed(FixedUint::new(words)),
-                }
+    /// The one words → `Repr` constructor: trims zero words off the top of
+    /// little-endian `words` and stores the value in the lowest tier it
+    /// fits. A stack array allocates only for a heap result; a vector is
+    /// kept by one.
+    fn from_words<W: AsRef<[u64]> + Into<Vec<u64>>>(words: W) -> Self {
+        let w = words.as_ref();
+        let len = limbs::sig_len(w);
+        let at = |i: usize| w.get(i).copied().unwrap_or(0);
+        let repr = match len {
+            0 | 1 => Repr::Inline(at(0)),
+            2..=FIXED_LIMBS => Repr::Fixed([at(0), at(1), at(2)]),
+            _ => {
+                let mut v = words.into();
+                v.truncate(len);
+                Repr::Heap(v)
             }
-            _ => BigUint {
-                repr: Repr::Heap(limbs),
-            },
-        }
+        };
+        BigUint { repr }
     }
 
-    /// Creates a value from `FIXED_LIMBS` little-endian 64-bit words,
-    /// canonicalising word-sized results down to the inline tier.
+    /// The value zero-padded to `FIXED_LIMBS` words, unless it is
+    /// heap-resident: the operand form of the stack tier, whose constant
+    /// width lets the kernels unroll.
     #[inline]
-    pub(crate) fn from_words(words: [u64; FIXED_LIMBS]) -> Self {
-        match fixed::sig_words(&words) {
-            0 => Self::zero(),
-            1 => Self::from_u64(words[0]),
-            _ => BigUint {
-                repr: Repr::Fixed(FixedUint::new(words)),
-            },
-        }
-    }
-
-    /// Canonicalises a wide little-endian 64-bit word buffer (at most
-    /// `2 × FIXED_LIMBS` words, e.g. a full fixed-tier product): inline if
-    /// word-sized, fixed if it fits `FIXED_LIMBS` words, heap otherwise.
-    fn from_wide_words(words: &[u64]) -> Self {
-        let sig = fixed::sig_words(words);
-        if sig <= FIXED_LIMBS {
-            let mut w = [0u64; FIXED_LIMBS];
-            w[..sig].copy_from_slice(&words[..sig]);
-            return Self::from_words(w);
-        }
-        let mut limbs = Vec::with_capacity(sig * 2);
-        for &w in &words[..sig] {
-            limbs.push((w & 0xFFFF_FFFF) as u32);
-            limbs.push((w >> 32) as u32);
-        }
-        Self::from_limbs(limbs)
-    }
-
-    /// The value as zero-padded fixed-tier words, unless it is
-    /// heap-resident.
-    #[inline]
-    fn to_fixed_words(&self) -> Option<[u64; FIXED_LIMBS]> {
+    fn stack_words(&self) -> Option<[u64; FIXED_LIMBS]> {
         match &self.repr {
-            Repr::Inline(v) => {
-                let mut w = [0u64; FIXED_LIMBS];
-                w[0] = *v;
-                Some(w)
-            }
-            Repr::Fixed(fx) => Some(*fx.limbs()),
+            Repr::Inline(v) => Some([*v, 0, 0]),
+            Repr::Fixed(w) => Some(*w),
             Repr::Heap(_) => None,
+        }
+    }
+
+    /// The value's significant little-endian words (empty for zero),
+    /// borrowed from whichever tier holds it.
+    #[inline]
+    fn words(&self) -> &[u64] {
+        match &self.repr {
+            Repr::Inline(v) => &core::slice::from_ref(v)[..usize::from(*v != 0)],
+            // A fixed value exceeds `u64::MAX`, so only its top word can
+            // be zero padding.
+            Repr::Fixed(w) => &w[..FIXED_LIMBS - usize::from(w[FIXED_LIMBS - 1] == 0)],
+            Repr::Heap(v) => v,
         }
     }
 
@@ -248,47 +212,6 @@ impl BigUint {
         matches!(self.repr, Repr::Heap(_))
     }
 
-    /// The limbs of the value as a borrowable stack view.
-    #[inline]
-    fn view(&self) -> LimbView<'_> {
-        match &self.repr {
-            Repr::Inline(v) => {
-                let lo = (*v & 0xFFFF_FFFF) as u32;
-                let hi = (*v >> 32) as u32;
-                let len = if hi != 0 { 2 } else { usize::from(lo != 0) };
-                let mut buf = [0u32; 2 * FIXED_LIMBS];
-                buf[0] = lo;
-                buf[1] = hi;
-                LimbView {
-                    buf,
-                    len,
-                    heap: None,
-                }
-            }
-            Repr::Fixed(fx) => {
-                let mut buf = [0u32; 2 * FIXED_LIMBS];
-                for (i, &w) in fx.limbs().iter().enumerate() {
-                    buf[2 * i] = (w & 0xFFFF_FFFF) as u32;
-                    buf[2 * i + 1] = (w >> 32) as u32;
-                }
-                let mut len = 2 * FIXED_LIMBS;
-                while len > 0 && buf[len - 1] == 0 {
-                    len -= 1;
-                }
-                LimbView {
-                    buf,
-                    len,
-                    heap: None,
-                }
-            }
-            Repr::Heap(limbs) => LimbView {
-                buf: [0; 2 * FIXED_LIMBS],
-                len: limbs.len(),
-                heap: Some(limbs),
-            },
-        }
-    }
-
     /// Returns `true` if the value is zero.
     #[must_use]
     #[inline]
@@ -316,12 +239,7 @@ impl BigUint {
     pub fn bits(&self) -> u64 {
         match &self.repr {
             Repr::Inline(v) => u64::from(64 - v.leading_zeros()),
-            Repr::Fixed(fx) => fx.bits(),
-            Repr::Heap(limbs) => {
-                let top = *limbs.last().expect("heap repr is non-empty");
-                (limbs.len() as u64 - 1) * u64::from(LIMB_BITS)
-                    + u64::from(LIMB_BITS - top.leading_zeros())
-            }
+            _ => limbs::bits(self.words()),
         }
     }
 
@@ -339,11 +257,9 @@ impl BigUint {
     #[must_use]
     #[inline]
     pub fn to_u128(&self) -> Option<u128> {
-        match &self.repr {
-            Repr::Inline(v) => Some(u128::from(*v)),
-            Repr::Fixed(fx) => fx.to_u128(),
-            // Heap values are at least 2^FIXED_BITS > u128::MAX.
-            Repr::Heap(_) => None,
+        match self.stack_words()? {
+            [lo, hi, 0] => Some(u128::from(lo) | (u128::from(hi) << 64)),
+            _ => None,
         }
     }
 
@@ -361,23 +277,18 @@ impl BigUint {
         // Wide value (≥ 65 bits): extract the exact top 64 bits plus a
         // sticky bit recording whether anything below them is non-zero,
         // then round that window to f64's 53-bit mantissa, ties to even.
-        // Truncating here instead (the old behaviour) biased every
-        // conversion toward zero by up to one ulp.
-        let bits = self.bits();
-        let view = self.view();
-        let limbs = view.as_slice();
-        let k = limbs.len(); // ≥ 3 by the representation invariant
-        let hi3 = (u128::from(limbs[k - 1]) << 64)
-            | (u128::from(limbs[k - 2]) << 32)
-            | u128::from(limbs[k - 3]);
-        // The top three limbs carry `bits − 32·(k − 3)` significant bits,
-        // which is in (64, 96]; all but the top 64 feed the sticky bit
-        // along with every lower limb.
+        let words = self.words();
+        let bits = limbs::bits(words);
+        let k = words.len(); // ≥ 2 by the representation invariant
+        let hi2 = (u128::from(words[k - 1]) << 64) | u128::from(words[k - 2]);
+        // The top two words carry `bits − 64·(k − 2)` significant bits,
+        // which is in (64, 128]; all but the top 64 feed the sticky bit
+        // along with every lower word.
         #[allow(clippy::cast_possible_truncation)]
-        let excess = (bits - 32 * (k as u64 - 3) - 64) as u32; // 1..=32
+        let excess = (bits - 64 * (k as u64 - 1)) as u32; // 1..=64
         #[allow(clippy::cast_possible_truncation)]
-        let top = (hi3 >> excess) as u64;
-        let sticky = hi3 & ((1u128 << excess) - 1) != 0 || limbs[..k - 3].iter().any(|&l| l != 0);
+        let top = (hi2 >> excess) as u64;
+        let sticky = hi2 & ((1u128 << excess) - 1) != 0 || words[..k - 2].iter().any(|&w| w != 0);
 
         let mut mantissa = top >> 11;
         let round = (top >> 10) & 1 == 1;
@@ -398,20 +309,6 @@ impl BigUint {
         }
     }
 
-    /// Compares two limb slices.
-    fn cmp_limbs(a: &[u32], b: &[u32]) -> Ordering {
-        if a.len() != b.len() {
-            return a.len().cmp(&b.len());
-        }
-        for (x, y) in a.iter().rev().zip(b.iter().rev()) {
-            match x.cmp(y) {
-                Ordering::Equal => {}
-                other => return other,
-            }
-        }
-        Ordering::Equal
-    }
-
     /// Checked subtraction: returns `None` if `other > self`.
     ///
     /// ```
@@ -423,51 +320,27 @@ impl BigUint {
     /// ```
     #[must_use]
     pub fn checked_sub(&self, other: &Self) -> Option<Self> {
-        match (&self.repr, &other.repr) {
-            (Repr::Inline(a), Repr::Inline(b)) => a.checked_sub(*b).map(Self::from_u64),
-            // A subtrahend from a higher tier strictly exceeds the minuend.
-            (Repr::Inline(_), Repr::Fixed(_) | Repr::Heap(_)) | (Repr::Fixed(_), Repr::Heap(_)) => {
-                None
-            }
-            (Repr::Fixed(a), _) => {
-                let bw = other.to_fixed_words().expect("rhs is inline or fixed");
-                a.checked_sub(&FixedUint::new(bw))
-                    .map(|d| Self::from_words(*d.limbs()))
-            }
-            (Repr::Heap(_), _) => {
-                let (av, bv) = (self.view(), other.view());
-                Self::sub_slices(av.as_slice(), bv.as_slice())
-            }
+        if let (Repr::Inline(a), Repr::Inline(b)) = (&self.repr, &other.repr) {
+            return a.checked_sub(*b).map(Self::from_u64);
         }
-    }
-
-    /// `a − b` over limb slices, or `None` on underflow.
-    fn sub_slices(a: &[u32], b: &[u32]) -> Option<BigUint> {
-        if Self::cmp_limbs(a, b) == Ordering::Less {
+        if let (Some(a), Some(b)) = (self.stack_words(), other.stack_words()) {
+            let mut out = [0; FIXED_LIMBS];
+            return (!limbs::sub(&a, &b, &mut out)).then(|| Self::from_words(out));
+        }
+        let (a, b) = (self.words(), other.words());
+        if a.len() < b.len() {
             return None;
         }
-        let mut out = Vec::with_capacity(a.len());
-        let mut borrow: i64 = 0;
-        for (i, &lhs) in a.iter().enumerate() {
-            let rhs = b.get(i).copied().unwrap_or(0);
-            let v = i64::from(lhs) - i64::from(rhs) - borrow;
-            if v < 0 {
-                out.push((v + (1i64 << 32)) as u32);
-                borrow = 1;
-            } else {
-                out.push(v as u32);
-                borrow = 0;
-            }
-        }
-        debug_assert_eq!(borrow, 0);
-        Some(Self::from_limbs(out))
+        let mut out = vec![0; a.len()];
+        (!limbs::sub(a, b, &mut out)).then(|| Self::from_words(out))
     }
 
     /// Division with remainder.
     ///
     /// Returns `(quotient, remainder)` with `remainder < divisor`. The
-    /// all-inline case divides machine words directly; a heap dividend with
-    /// a single-limb divisor takes the short-division path.
+    /// all-inline case divides machine words directly; a single-word
+    /// divisor takes the short-division path, and wider divisors Knuth
+    /// Algorithm D.
     ///
     /// # Panics
     ///
@@ -482,133 +355,46 @@ impl BigUint {
     #[must_use]
     pub fn div_rem(&self, divisor: &Self) -> (Self, Self) {
         assert!(!divisor.is_zero(), "division by zero BigUint");
-        match (&self.repr, &divisor.repr) {
-            (Repr::Inline(a), Repr::Inline(b)) => (Self::from_u64(a / b), Self::from_u64(a % b)),
-            // A divisor from a higher tier strictly exceeds the dividend.
-            (Repr::Inline(_), Repr::Fixed(_) | Repr::Heap(_)) | (Repr::Fixed(_), Repr::Heap(_)) => {
-                (Self::zero(), self.clone())
-            }
-            (Repr::Fixed(a), Repr::Inline(d)) => {
-                let (q, r) = a.div_rem_word(*d);
-                (Self::from_words(*q.limbs()), Self::from_u64(r))
-            }
-            (Repr::Fixed(a), Repr::Fixed(b)) => {
-                let (q, r) = a.div_rem(b);
-                (Self::from_words(*q.limbs()), Self::from_words(*r.limbs()))
-            }
-            (Repr::Heap(_), _) => {
-                let (uv, dv) = (self.view(), divisor.view());
-                let (u, d) = (uv.as_slice(), dv.as_slice());
-                match Self::cmp_limbs(u, d) {
-                    Ordering::Less => return (Self::zero(), self.clone()),
-                    Ordering::Equal => return (Self::one(), Self::zero()),
-                    Ordering::Greater => {}
-                }
-                if d.len() == 1 {
-                    let (q, r) = Self::div_rem_limb_slice(u, d[0]);
-                    return (q, Self::from_u64(u64::from(r)));
-                }
-                Self::div_rem_knuth(u, d)
-            }
+        if let (Repr::Inline(a), Repr::Inline(b)) = (&self.repr, &divisor.repr) {
+            return (Self::from_u64(a / b), Self::from_u64(a % b));
+        }
+        if let (Some([a0, a1, a2]), Some(mut v)) = (self.stack_words(), divisor.stack_words()) {
+            return Self::div_rem_words([a0, a1, a2, 0], &mut v, [0; FIXED_LIMBS]);
+        }
+        match self.cmp(divisor) {
+            Ordering::Less => return (Self::zero(), self.clone()),
+            Ordering::Equal => return (Self::one(), Self::zero()),
+            Ordering::Greater => {}
+        }
+        let (u, v) = (self.words(), divisor.words());
+        let mut un = Vec::with_capacity(u.len() + 1);
+        un.extend_from_slice(u);
+        un.push(0);
+        match *v {
+            [d] => Self::div_rem_words(un, &mut [d], Vec::new()),
+            _ => Self::div_rem_words(un, &mut v.to_vec(), vec![0; u.len() + 1 - v.len()]),
         }
     }
 
-    /// Short division of a limb slice by a single limb.
-    fn div_rem_limb_slice(limbs: &[u32], divisor: u32) -> (Self, u32) {
-        debug_assert!(divisor != 0);
-        let d = u64::from(divisor);
-        let mut rem: u64 = 0;
-        let mut out = vec![0u32; limbs.len()];
-        for (i, &limb) in limbs.iter().enumerate().rev() {
-            let cur = (rem << 32) | u64::from(limb);
-            out[i] = (cur / d) as u32;
-            rem = cur % d;
+    /// `(u / v, u % v)` for `v > 0` on zero-padded words, `u` with a zero
+    /// word on top. A single-word divisor runs short division in place; a
+    /// wider one of `n` significant words runs Knuth's Algorithm D, which
+    /// clobbers `v` and writes the quotient into `u.len() − n` words of `q`.
+    fn div_rem_words<W, Q>(mut u: W, v: &mut [u64], mut q: Q) -> (Self, Self)
+    where
+        W: AsRef<[u64]> + AsMut<[u64]> + Into<Vec<u64>>,
+        Q: AsRef<[u64]> + AsMut<[u64]> + Into<Vec<u64>>,
+    {
+        let (len, n) = (limbs::sig_len(u.as_ref()), limbs::sig_len(v));
+        if len < n {
+            return (Self::zero(), Self::from_words(u));
         }
-        (Self::from_limbs(out), rem as u32)
-    }
-
-    /// `limbs << shift` as a raw limb vector (`shift < 32`).
-    fn shl_small(limbs: &[u32], shift: u32) -> Vec<u32> {
-        debug_assert!(shift < LIMB_BITS);
-        if shift == 0 {
-            return limbs.to_vec();
+        if n == 1 {
+            let r = limbs::div_rem_word(&mut u.as_mut()[..len], v[0]);
+            return (Self::from_words(u), Self::from_u64(r));
         }
-        let mut out = Vec::with_capacity(limbs.len() + 1);
-        let mut carry: u32 = 0;
-        for &l in limbs {
-            out.push((l << shift) | carry);
-            carry = l >> (LIMB_BITS - shift);
-        }
-        if carry != 0 {
-            out.push(carry);
-        }
-        out
-    }
-
-    /// Knuth Algorithm D (TAOCP Vol. 2, 4.3.1) for multi-limb divisors.
-    fn div_rem_knuth(u_limbs: &[u32], v_limbs: &[u32]) -> (Self, Self) {
-        // Normalise so the divisor's top limb has its high bit set.
-        let shift = v_limbs.last().expect("multi-limb").leading_zeros();
-        let mut un = Self::shl_small(u_limbs, shift);
-        let vn = Self::shl_small(v_limbs, shift);
-        let n = vn.len();
-        let m = un.len() - n;
-
-        un.push(0); // extra high limb for the algorithm
-        let v_top = u64::from(vn[n - 1]);
-        let v_next = u64::from(vn[n - 2]);
-
-        let mut q = vec![0u32; m + 1];
-        for j in (0..=m).rev() {
-            // Estimate q̂.
-            let num = (u64::from(un[j + n]) << 32) | u64::from(un[j + n - 1]);
-            let mut qhat = num / v_top;
-            let mut rhat = num % v_top;
-            while qhat >= (1u64 << 32) || qhat * v_next > ((rhat << 32) | u64::from(un[j + n - 2]))
-            {
-                qhat -= 1;
-                rhat += v_top;
-                if rhat >= (1u64 << 32) {
-                    break;
-                }
-            }
-            // Multiply-and-subtract: un[j..j+n+1] -= qhat * vn.
-            let mut borrow: i64 = 0;
-            let mut carry: u64 = 0;
-            for i in 0..n {
-                let p = qhat * u64::from(vn[i]) + carry;
-                carry = p >> 32;
-                let t = i64::from(un[i + j]) - borrow - i64::from((p & 0xFFFF_FFFF) as u32);
-                if t < 0 {
-                    un[i + j] = (t + (1i64 << 32)) as u32;
-                    borrow = 1;
-                } else {
-                    un[i + j] = t as u32;
-                    borrow = 0;
-                }
-            }
-            let t =
-                i64::from(un[j + n]) - borrow - i64::from(carry as u32) - ((carry >> 32) as i64);
-            if t < 0 {
-                // q̂ was one too large: add back.
-                un[j + n] = (t + (1i64 << 32)) as u32;
-                qhat -= 1;
-                let mut carry2: u64 = 0;
-                for i in 0..n {
-                    let s = u64::from(un[i + j]) + u64::from(vn[i]) + carry2;
-                    un[i + j] = (s & 0xFFFF_FFFF) as u32;
-                    carry2 = s >> 32;
-                }
-                un[j + n] = un[j + n].wrapping_add(carry2 as u32);
-            } else {
-                un[j + n] = t as u32;
-            }
-            q[j] = qhat as u32;
-        }
-
-        let quotient = Self::from_limbs(q);
-        let rem = Self::from_limbs(un[..n].to_vec()) >> u64::from(shift);
-        (quotient, rem)
+        limbs::div_rem(u.as_mut(), &mut v[..n], q.as_mut());
+        (Self::from_words(q), Self::from_words(u))
     }
 
     /// Greatest common divisor.
@@ -616,7 +402,7 @@ impl BigUint {
     /// Operands up to two words run the binary gcd entirely on machine
     /// words; larger operands reduce by Euclid steps (division stays on
     /// the stack throughout the fixed tier) until both fit, which takes at
-    /// most a few multi-limb divisions.
+    /// most a few multi-word divisions.
     ///
     /// `gcd(0, 0) == 0` by convention.
     ///
@@ -631,7 +417,7 @@ impl BigUint {
         let mut b = other.clone();
         loop {
             if let (Some(x), Some(y)) = (a.to_u128(), b.to_u128()) {
-                return Self::from_u128_value(fixed::gcd_u128(x, y));
+                return Self::from_u128_value(limbs::gcd_u128(x, y));
             }
             if b.is_zero() {
                 return a;
@@ -672,53 +458,8 @@ impl BigUint {
     pub fn is_even(&self) -> bool {
         match &self.repr {
             Repr::Inline(v) => v & 1 == 0,
-            Repr::Fixed(fx) => fx.is_even(),
-            Repr::Heap(limbs) => limbs[0] & 1 == 0,
+            _ => self.words()[0] & 1 == 0,
         }
-    }
-
-    /// `a + b` over limb slices.
-    fn add_slices(a: &[u32], b: &[u32]) -> BigUint {
-        let (long, short) = if a.len() >= b.len() { (a, b) } else { (b, a) };
-        let mut out = Vec::with_capacity(long.len() + 1);
-        let mut carry: u64 = 0;
-        #[allow(clippy::needless_range_loop)] // indexing two slices of different lengths
-        for i in 0..long.len() {
-            let s = u64::from(long[i]) + u64::from(short.get(i).copied().unwrap_or(0)) + carry;
-            out.push((s & 0xFFFF_FFFF) as u32);
-            carry = s >> 32;
-        }
-        if carry != 0 {
-            out.push(carry as u32);
-        }
-        BigUint::from_limbs(out)
-    }
-
-    /// `a × b` over limb slices (schoolbook).
-    fn mul_slices(a: &[u32], b: &[u32]) -> BigUint {
-        if a.is_empty() || b.is_empty() {
-            return BigUint::zero();
-        }
-        let mut out = vec![0u32; a.len() + b.len()];
-        for (i, &x) in a.iter().enumerate() {
-            if x == 0 {
-                continue;
-            }
-            let mut carry: u64 = 0;
-            for (j, &y) in b.iter().enumerate() {
-                let cur = u64::from(out[i + j]) + u64::from(x) * u64::from(y) + carry;
-                out[i + j] = (cur & 0xFFFF_FFFF) as u32;
-                carry = cur >> 32;
-            }
-            let mut k = i + b.len();
-            while carry != 0 {
-                let cur = u64::from(out[k]) + carry;
-                out[k] = (cur & 0xFFFF_FFFF) as u32;
-                carry = cur >> 32;
-                k += 1;
-            }
-        }
-        BigUint::from_limbs(out)
     }
 }
 
@@ -770,12 +511,7 @@ impl Ord for BigUint {
     fn cmp(&self, other: &Self) -> Ordering {
         match (&self.repr, &other.repr) {
             (Repr::Inline(a), Repr::Inline(b)) => a.cmp(b),
-            (Repr::Fixed(a), Repr::Fixed(b)) => a.cmp_words(b),
-            (Repr::Heap(a), Repr::Heap(b)) => Self::cmp_limbs(a, b),
-            // Mixed tiers: the canonical invariant orders the variants'
-            // value ranges strictly (Inline < Fixed < Heap).
-            (Repr::Inline(_), _) | (Repr::Fixed(_), Repr::Heap(_)) => Ordering::Less,
-            (Repr::Heap(_), _) | (Repr::Fixed(_), Repr::Inline(_)) => Ordering::Greater,
+            _ => limbs::cmp(self.words(), other.words()),
         }
     }
 }
@@ -799,19 +535,15 @@ impl Add for &BigUint {
                 None => BigUint::from_u128_value(u128::from(*a) + u128::from(*b)),
             };
         }
-        if let (Some(aw), Some(bw)) = (self.to_fixed_words(), rhs.to_fixed_words()) {
-            let (s, carry) = FixedUint::new(aw).overflowing_add(&FixedUint::new(bw));
-            if !carry {
-                return BigUint::from_words(*s.limbs());
-            }
-            // The sum crossed 2^FIXED_BITS: widen by the carry word.
-            let mut wide = [0u64; FIXED_LIMBS + 1];
-            wide[..FIXED_LIMBS].copy_from_slice(s.limbs());
-            wide[FIXED_LIMBS] = 1;
-            return BigUint::from_wide_words(&wide);
+        if let (Some(a), Some(b)) = (self.stack_words(), rhs.stack_words()) {
+            let mut out = [0; FIXED_LIMBS + 1];
+            limbs::add(&a, &b, &mut out);
+            return BigUint::from_words(out);
         }
-        let (av, bv) = (self.view(), rhs.view());
-        BigUint::add_slices(av.as_slice(), bv.as_slice())
+        let (a, b) = (self.words(), rhs.words());
+        let mut out = vec![0; a.len().max(b.len()) + 1];
+        limbs::add(a, b, &mut out);
+        BigUint::from_words(out)
     }
 }
 
@@ -835,13 +567,15 @@ impl Mul for &BigUint {
         if self.is_zero() || rhs.is_zero() {
             return BigUint::zero();
         }
-        if let (Some(aw), Some(bw)) = (self.to_fixed_words(), rhs.to_fixed_words()) {
-            let mut wide = [0u64; 2 * FIXED_LIMBS];
-            FixedUint::new(aw).mul_wide(&FixedUint::new(bw), &mut wide);
-            return BigUint::from_wide_words(&wide);
+        if let (Some(a), Some(b)) = (self.stack_words(), rhs.stack_words()) {
+            let mut out = [0; STACK_WORDS];
+            limbs::mul(&a, &b, &mut out);
+            return BigUint::from_words(out);
         }
-        let (av, bv) = (self.view(), rhs.view());
-        BigUint::mul_slices(av.as_slice(), bv.as_slice())
+        let (a, b) = (self.words(), rhs.words());
+        let mut out = vec![0; a.len() + b.len()];
+        limbs::mul(a, b, &mut out);
+        BigUint::from_words(out)
     }
 }
 
@@ -874,24 +608,16 @@ impl Shl<u64> for &BigUint {
                 return BigUint::from_u128_value(u128::from(v) << shift);
             }
         }
-        let limb_shift = (shift / u64::from(LIMB_BITS)) as usize;
-        let bit_shift = (shift % u64::from(LIMB_BITS)) as u32;
-        let view = self.view();
-        let limbs = view.as_slice();
-        let mut out = vec![0u32; limb_shift];
-        if bit_shift == 0 {
-            out.extend_from_slice(limbs);
-        } else {
-            let mut carry: u32 = 0;
-            for &l in limbs {
-                out.push((l << bit_shift) | carry);
-                carry = l >> (LIMB_BITS - bit_shift);
-            }
-            if carry != 0 {
-                out.push(carry);
-            }
+        let words = self.words();
+        let len = words.len() + (shift / 64) as usize + 1;
+        if len <= STACK_WORDS {
+            let mut out = [0; STACK_WORDS];
+            limbs::shl(words, shift, &mut out);
+            return BigUint::from_words(out);
         }
-        BigUint::from_limbs(out)
+        let mut out = vec![0; len];
+        limbs::shl(words, shift, &mut out);
+        BigUint::from_words(out)
     }
 }
 
@@ -905,23 +631,19 @@ impl Shr<u64> for &BigUint {
                 BigUint::from_u64(v >> shift)
             };
         }
-        let limb_shift = (shift / u64::from(LIMB_BITS)) as usize;
-        let view = self.view();
-        let limbs = view.as_slice();
-        if limb_shift >= limbs.len() {
+        let words = self.words();
+        if shift / 64 >= words.len() as u64 {
             return BigUint::zero();
         }
-        let bit_shift = (shift % u64::from(LIMB_BITS)) as u32;
-        let mut out: Vec<u32> = limbs[limb_shift..].to_vec();
-        if bit_shift != 0 {
-            let mut carry: u32 = 0;
-            for l in out.iter_mut().rev() {
-                let new = (*l >> bit_shift) | carry;
-                carry = *l << (LIMB_BITS - bit_shift);
-                *l = new;
-            }
+        let len = words.len() - (shift / 64) as usize;
+        if len <= STACK_WORDS {
+            let mut out = [0; STACK_WORDS];
+            limbs::shr(words, shift, &mut out);
+            return BigUint::from_words(out);
         }
-        BigUint::from_limbs(out)
+        let mut out = vec![0; len];
+        limbs::shr(words, shift, &mut out);
+        BigUint::from_words(out)
     }
 }
 
@@ -1010,49 +732,41 @@ impl fmt::Display for BigUint {
         // print identical digits for the same value. `ModelFingerprint`
         // digests probabilities through `Display`, so this is a stability
         // contract the engine cache depends on, not just cosmetics.
-        match &self.repr {
-            Repr::Inline(v) => write!(f, "{v}"),
-            Repr::Fixed(fx) => {
-                // Divide down by 10^9 on the stack words.
-                let mut chunks: Vec<u32> = Vec::new();
-                let mut cur = *fx;
-                while cur.sig_limbs() != 0 {
-                    let (q, r) = cur.div_rem_word(1_000_000_000);
-                    chunks.push(r as u32);
-                    cur = q;
-                }
-                write_decimal_chunks(f, &chunks)
-            }
-            Repr::Heap(_) => {
-                // Repeatedly divide by 10^9 (the largest power of ten
-                // fitting a limb). The quotient chain is free to fall
-                // through the tiers as it shrinks; the view covers all of
-                // them.
-                let mut chunks: Vec<u32> = Vec::new();
-                let mut cur = self.clone();
-                while !cur.is_zero() {
-                    let view = cur.view();
-                    let (q, r) = Self::div_rem_limb_slice(view.as_slice(), 1_000_000_000);
-                    chunks.push(r);
-                    cur = q;
-                }
-                write_decimal_chunks(f, &chunks)
+        if let Repr::Inline(v) = self.repr {
+            return write!(f, "{v}");
+        }
+        // Each base-10¹⁹ chunk takes more than 63 bits, so `len + len / 32
+        // + 1` slots hold them all.
+        match self.stack_words() {
+            Some(w) => write_decimal(f, w, [0; FIXED_LIMBS + 1]),
+            None => {
+                let w = self.words();
+                write_decimal(f, w.to_vec(), vec![0; w.len() + w.len() / 32 + 1])
             }
         }
     }
 }
 
-/// Writes little-endian base-10⁹ chunks as decimal digits.
-fn write_decimal_chunks(f: &mut fmt::Formatter<'_>, chunks: &[u32]) -> fmt::Result {
-    let mut s = String::new();
-    for (i, chunk) in chunks.iter().rev().enumerate() {
-        if i == 0 {
-            s.push_str(&chunk.to_string());
-        } else {
-            s.push_str(&format!("{chunk:09}"));
-        }
+/// Writes the value of `words` in decimal, peeling off base-10¹⁹ chunks
+/// (the largest power of ten in a word) into `chunks`, least significant
+/// first. Both buffers are consumed as scratch.
+fn write_decimal(
+    f: &mut fmt::Formatter<'_>,
+    mut words: impl AsMut<[u64]>,
+    mut chunks: impl AsMut<[u64]>,
+) -> fmt::Result {
+    const CHUNK: u64 = 10_000_000_000_000_000_000;
+    let (words, chunks) = (words.as_mut(), chunks.as_mut());
+    let mut len = limbs::sig_len(words);
+    let mut count = 0;
+    while len > 0 {
+        chunks[count] = limbs::div_rem_word(&mut words[..len], CHUNK);
+        count += 1;
+        len = limbs::sig_len(&words[..len]);
     }
-    f.write_str(&s)
+    let (top, rest) = chunks[..count].split_last().expect("non-zero value");
+    write!(f, "{top}")?;
+    rest.iter().rev().try_for_each(|c| write!(f, "{c:019}"))
 }
 
 impl fmt::Debug for BigUint {

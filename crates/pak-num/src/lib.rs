@@ -28,22 +28,28 @@
 //!   `u128` where a product or carry demands it, and **never touches the
 //!   allocator**.
 //! * **Fixed(`[u64; 3]`)** holds values in `(u64::MAX, 2^192)` in a
-//!   stack-resident fixed-limb array. All arithmetic between inline and
-//!   fixed operands — including Knuth division and gcd normalisation —
-//!   stays on the stack; only results crossing `2^192` escalate.
-//! * **Heap(`Vec<u32>`)** holds values `≥ 2^192` as little-endian
-//!   base-2³² limbs with no trailing zero limbs (so the vector always has
-//!   at least seven limbs).
+//!   stack-resident word array.
+//! * **Heap(`Vec<u64>`)** holds values `≥ 2^192` as little-endian 64-bit
+//!   words with no zero word on top (so the vector always has at least
+//!   four words).
+//!
+//! The fixed and heap tiers share one set of `u64`-word kernels (add,
+//! sub, schoolbook mul, Knuth Algorithm D division, shifts) and differ
+//! only in where a kernel writes its result: a stack scratch array when
+//! it fits six words, so all arithmetic between inline and fixed operands
+//! — including division and gcd normalisation — stays on the stack, and a
+//! `Vec` beyond.
 //!
 //! The representation is **canonical**: every value has exactly one
 //! representation, results that shrink across a tier boundary are
 //! normalised back down (heap → fixed → inline), and therefore the derived
 //! `PartialEq`/`Ord`-consistent `Hash` is value hashing and `Display`
 //! prints identical digits whichever tier a value was computed in. The
-//! invariant is checked by differential property tests
-//! (`crates/pak-num/tests/properties.rs`) that pit the word and fixed
-//! paths against the limb path around every tier boundary (`u64::MAX`,
-//! `2^192`, and the limb-carry edges in between).
+//! property tests (`crates/pak-num/tests/properties.rs`) check every
+//! operation against a naive base-2⁸ reference that shares no code with
+//! this crate, against `u128` arithmetic up to two words, and by
+//! identities and round-trips around every tier boundary (`u64::MAX`,
+//! `2^192`).
 //!
 //! `Rational` layers word fast paths on top: comparison cross-multiplies
 //! through `u128` when both sides are word-sized, addition and
@@ -78,7 +84,7 @@
 mod bigint;
 mod biguint;
 mod decimal;
-mod fixed;
+mod limbs;
 mod parse;
 mod rational;
 

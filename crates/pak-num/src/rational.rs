@@ -8,7 +8,7 @@ use core::str::FromStr;
 
 use crate::bigint::{BigInt, Sign};
 use crate::biguint::BigUint;
-use crate::fixed::gcd_u64;
+use crate::limbs::gcd_u64;
 use crate::parse::ParseNumberError;
 
 /// An exact rational number.

@@ -10,15 +10,21 @@
 //! the assertion message carries the case index; rerun with the same code
 //! to replay it.
 //!
-//! Since `BigUint` gained its tiered representation (inline `u64` →
-//! fixed `[u64; 3]` stack words → heap `Vec<u32>` limbs), this file also
-//! carries **differential tests** pitting the word and fixed-limb fast
-//! paths against the multi-limb heap paths on the same values:
-//! machine-checkable references (`u128` arithmetic, decimal-string
-//! round-trips, algebraic identities) arbitrate, and the generators
-//! deliberately dwell on every boundary of the lattice — `u64::MAX`
-//! (inline↔fixed), `2^FIXED_BITS` (fixed↔heap), and the limb-carry edges
-//! in between — where representation switches happen.
+//! `BigUint` keeps a value in one of three tiers (inline `u64` → fixed
+//! `[u64; 3]` stack words → heap `Vec<u64>` words), and the two wide
+//! tiers share one set of `u64`-word kernels. Three kinds of reference
+//! check it here:
+//!
+//! * `Naive`, a deliberately naive base-2⁸ big number defined at the end
+//!   of this file. It shares no code with `pak-num`, so
+//!   `differential_against_naive_reference` is the independent check of
+//!   every operation on operands up to about 1 100 bits;
+//! * native `u128` arithmetic, for values up to two words;
+//! * algebraic identities and decimal-string round-trips, which are not
+//!   independent of the kernels but sweep every boundary of the lattice —
+//!   `u64::MAX` (inline↔fixed), `2^FIXED_BITS` (fixed↔heap) and the word
+//!   carry edges in between — and check that each result lands in the
+//!   tier its bit length dictates.
 
 use pak_num::{BigInt, BigUint, Rational};
 
@@ -440,8 +446,8 @@ fn representation_tier_matches_bit_length() {
 /// Ops whose operands straddle each boundary of the representation
 /// lattice (inline↔fixed, fixed↔fixed, fixed↔heap, heap↔heap) satisfy the
 /// ring identities and stay canonical. The `u128`-reference differential
-/// tests cannot see past two words, so these identities — plus the string
-/// round-trip — arbitrate the fixed- and heap-tier paths.
+/// tests cannot see past two words; beyond them these identities and the
+/// string round-trip back up `differential_against_naive_reference`.
 #[test]
 fn differential_tier_boundary_ops() {
     let mut rng = Rng::new(0xF1D3);
@@ -746,4 +752,295 @@ fn rational_pow_matches_repeated_mul() {
         }
         assert_eq!(a.pow(e), acc, "pow vs repeated mul, case {case}");
     }
+}
+
+// ----------------------------------------------------------------------
+// Independent reference: a deliberately naive big number
+// ----------------------------------------------------------------------
+
+/// A deliberately naive unsigned big number: little-endian base-2⁸ digits
+/// with no zero digit on top (zero is the empty vector). It shares no code
+/// with `pak-num` — not its limb width, not its algorithms — so a sweep
+/// against it can catch a bug that every `pak-num` path shares. Speed is
+/// no concern: division is bit-by-bit shift-and-subtract, gcd is Euclid
+/// on top of it, and decimal output divides by ten one digit at a time.
+#[derive(Clone, Debug, PartialEq, Eq)]
+struct Naive(Vec<u8>);
+
+impl Naive {
+    fn trimmed(mut digits: Vec<u8>) -> Naive {
+        while digits.last() == Some(&0) {
+            digits.pop();
+        }
+        Naive(digits)
+    }
+
+    /// From little-endian 64-bit words.
+    fn from_words(words: &[u64]) -> Naive {
+        Naive::trimmed(words.iter().flat_map(|w| w.to_le_bytes()).collect())
+    }
+
+    /// `2^k`.
+    fn pow2(k: u64) -> Naive {
+        let mut digits = vec![0u8; k as usize / 8 + 1];
+        digits[k as usize / 8] = 1 << (k % 8);
+        Naive(digits)
+    }
+
+    fn is_zero(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    fn bits(&self) -> u64 {
+        match self.0.last() {
+            None => 0,
+            Some(&top) => (self.0.len() as u64 - 1) * 8 + u64::from(8 - top.leading_zeros()),
+        }
+    }
+
+    fn cmp(&self, other: &Naive) -> std::cmp::Ordering {
+        self.0
+            .len()
+            .cmp(&other.0.len())
+            .then_with(|| self.0.iter().rev().cmp(other.0.iter().rev()))
+    }
+
+    fn add(&self, other: &Naive) -> Naive {
+        let len = self.0.len().max(other.0.len());
+        let mut out = Vec::with_capacity(len + 1);
+        let mut carry = 0u16;
+        for i in 0..len {
+            let s = u16::from(*self.0.get(i).unwrap_or(&0))
+                + u16::from(*other.0.get(i).unwrap_or(&0))
+                + carry;
+            out.push(s as u8);
+            carry = s >> 8;
+        }
+        out.push(carry as u8);
+        Naive::trimmed(out)
+    }
+
+    /// `self − other`, or `None` if `other > self`.
+    fn sub(&self, other: &Naive) -> Option<Naive> {
+        if self.cmp(other) == std::cmp::Ordering::Less {
+            return None;
+        }
+        let mut out = Vec::with_capacity(self.0.len());
+        let mut borrow = 0i16;
+        for (i, &d) in self.0.iter().enumerate() {
+            let mut v = i16::from(d) - i16::from(*other.0.get(i).unwrap_or(&0)) - borrow;
+            borrow = i16::from(v < 0);
+            if v < 0 {
+                v += 256;
+            }
+            out.push(v as u8);
+        }
+        Some(Naive::trimmed(out))
+    }
+
+    fn mul(&self, other: &Naive) -> Naive {
+        let mut out = vec![0u32; self.0.len() + other.0.len() + 1];
+        for (i, &x) in self.0.iter().enumerate() {
+            for (j, &y) in other.0.iter().enumerate() {
+                out[i + j] += u32::from(x) * u32::from(y);
+            }
+            // Settle carries after each row so no cell can overflow.
+            let mut carry = 0u32;
+            for cell in &mut out[i..] {
+                let v = *cell + carry;
+                *cell = v & 0xFF;
+                carry = v >> 8;
+            }
+        }
+        Naive::trimmed(out.into_iter().map(|d| d as u8).collect())
+    }
+
+    fn shl(&self, shift: u64) -> Naive {
+        if self.is_zero() {
+            return Naive(Vec::new());
+        }
+        let mut out = vec![0u8; shift as usize / 8];
+        let bit = shift % 8;
+        let mut carry = 0u16;
+        for &d in &self.0 {
+            let v = (u16::from(d) << bit) | carry;
+            out.push(v as u8);
+            carry = v >> 8;
+        }
+        out.push(carry as u8);
+        Naive::trimmed(out)
+    }
+
+    fn shr(&self, shift: u64) -> Naive {
+        let skip = shift as usize / 8;
+        if skip >= self.0.len() {
+            return Naive(Vec::new());
+        }
+        let bit = shift % 8;
+        let digits = &self.0[skip..];
+        let out = (0..digits.len())
+            .map(|i| {
+                let hi = u16::from(*digits.get(i + 1).unwrap_or(&0));
+                ((((hi << 8) | u16::from(digits[i])) >> bit) & 0xFF) as u8
+            })
+            .collect();
+        Naive::trimmed(out)
+    }
+
+    /// Shift-and-subtract division: `(quotient, remainder)`.
+    fn div_rem(&self, divisor: &Naive) -> (Naive, Naive) {
+        assert!(!divisor.is_zero(), "naive division by zero");
+        if self.cmp(divisor) == std::cmp::Ordering::Less {
+            return (Naive(Vec::new()), self.clone());
+        }
+        let top = self.bits() - divisor.bits();
+        let mut rem = self.clone();
+        let mut quotient = vec![0u8; top as usize / 8 + 1];
+        let mut shifted = divisor.shl(top);
+        for k in (0..=top).rev() {
+            if let Some(r) = rem.sub(&shifted) {
+                rem = r;
+                quotient[k as usize / 8] |= 1 << (k % 8);
+            }
+            shifted = shifted.shr(1);
+        }
+        (Naive::trimmed(quotient), rem)
+    }
+
+    fn gcd(&self, other: &Naive) -> Naive {
+        let (mut a, mut b) = (self.clone(), other.clone());
+        while !b.is_zero() {
+            let r = a.div_rem(&b).1;
+            a = b;
+            b = r;
+        }
+        a
+    }
+
+    /// Decimal digits by repeated division by ten.
+    fn to_decimal(&self) -> String {
+        if self.is_zero() {
+            return "0".to_string();
+        }
+        let mut digits = Vec::new();
+        let mut cur = self.0.clone();
+        while !cur.is_empty() {
+            let mut rem = 0u16;
+            for d in cur.iter_mut().rev() {
+                let v = (rem << 8) | u16::from(*d);
+                *d = (v / 10) as u8;
+                rem = v % 10;
+            }
+            digits.push(b'0' + rem as u8);
+            cur = Naive::trimmed(cur).0;
+        }
+        digits.reverse();
+        String::from_utf8(digits).unwrap()
+    }
+
+    /// The same value as a `BigUint`, through its decimal string.
+    fn to_biguint(&self) -> BigUint {
+        self.to_decimal().parse().unwrap()
+    }
+}
+
+impl Rng {
+    /// An operand for the naive-reference sweep: up to about 1 100 bits,
+    /// biased to `2^64`, `2^128` and `2^192` ± small, to words that are all
+    /// ones or a single bit, and to word-sized values.
+    fn naive(&mut self) -> Naive {
+        match self.below(5) {
+            0 => {
+                let anchor = Naive::pow2([64, 128, 192][self.below(3) as usize]);
+                let small = Naive::from_words(&[self.below(1 << 16)]);
+                if self.u64() & 1 == 0 {
+                    anchor.add(&small)
+                } else {
+                    anchor.sub(&small).unwrap()
+                }
+            }
+            1 => {
+                let len = 1 + self.below(17);
+                let words: Vec<u64> = (0..len)
+                    .map(|_| match self.below(4) {
+                        0 => u64::MAX,
+                        1 => 1 << self.below(64),
+                        2 => 0,
+                        _ => self.u64(),
+                    })
+                    .collect();
+                Naive::from_words(&words)
+            }
+            2 => {
+                let words: Vec<u64> = (0..18).map(|_| self.u64()).collect();
+                Naive::from_words(&words).shr(52 + self.below(1100))
+            }
+            3 => {
+                let k = self.below(1100);
+                if self.u64() & 1 == 0 {
+                    Naive::pow2(k)
+                } else {
+                    Naive::pow2(k).sub(&Naive::from_words(&[1])).unwrap()
+                }
+            }
+            _ => Naive::from_words(&[self.u64() >> self.below(64)]),
+        }
+    }
+}
+
+/// Every `BigUint` operation agrees with the naive base-2⁸ reference on
+/// operands up to about 1 100 bits. Unlike the `u128` references this
+/// sees past two words, and unlike the identities and string round-trips
+/// it shares no kernel with the code under test; results are compared as
+/// decimal strings, so `Display` is checked on every one.
+#[test]
+fn differential_against_naive_reference() {
+    let mut rng = Rng::new(0x2A1E);
+    let mut multi_word_divisors = 0usize;
+    let mut wide_operands = 0usize;
+    for case in 0..CASES * 4 {
+        let (na, nb) = (rng.naive(), rng.naive());
+        let (a, b) = (na.to_biguint(), nb.to_biguint());
+        let same = |got: &BigUint, want: &Naive, what: &str| {
+            assert_eq!(
+                got.to_string(),
+                want.to_decimal(),
+                "{what}, case {case}: a = {}, b = {}",
+                na.to_decimal(),
+                nb.to_decimal()
+            );
+        };
+        same(&a, &na, "Display");
+        same(&(&a + &b), &na.add(&nb), "add");
+        same(&(&a * &b), &na.mul(&nb), "mul");
+        match na.sub(&nb) {
+            Some(d) => same(&(&a - &b), &d, "sub"),
+            None => assert!(a.checked_sub(&b).is_none(), "sub underflow, case {case}"),
+        }
+        assert_eq!(a.cmp(&b), na.cmp(&nb), "cmp, case {case}");
+        if !nb.is_zero() {
+            let (q, r) = a.div_rem(&b);
+            let (nq, nr) = na.div_rem(&nb);
+            same(&q, &nq, "quotient");
+            same(&r, &nr, "remainder");
+            if nb.bits() > 64 {
+                multi_word_divisors += 1;
+            }
+        }
+        same(&a.gcd(&b), &na.gcd(&nb), "gcd");
+        let s = rng.below(300);
+        same(&(&a << s), &na.shl(s), "shl");
+        same(&(&a >> s), &na.shr(s), "shr");
+        if na.bits() > BigUint::FIXED_BITS || nb.bits() > BigUint::FIXED_BITS {
+            wide_operands += 1;
+        }
+    }
+    assert!(
+        multi_word_divisors >= 500,
+        "sweep must divide by multi-word divisors, got {multi_word_divisors}"
+    );
+    assert!(
+        wide_operands >= 500,
+        "sweep must reach the heap tier, got {wide_operands}"
+    );
 }

@@ -124,6 +124,7 @@ where
     stats: Arc<Stats>,
     accepting: Arc<AtomicBool>,
     default_deadline: Option<Duration>,
+    n_agents: u32,
 }
 
 impl<M, P> PakServer<M, P>
@@ -135,6 +136,7 @@ where
     /// submission handle. `config.workers` is clamped to at least one.
     #[must_use]
     pub fn start(model: Arc<M>, config: ServerConfig) -> Self {
+        let n_agents = model.n_agents();
         let n_workers = config.workers.max(1);
         let (tx, rx) = mpsc::sync_channel::<Job<M::Global, P>>(config.queue_capacity.max(1));
         let rx = Arc::new(Mutex::new(rx));
@@ -161,6 +163,7 @@ where
             stats,
             accepting,
             default_deadline: config.default_deadline,
+            n_agents,
         }
     }
 
@@ -169,7 +172,9 @@ where
     /// # Errors
     ///
     /// [`ServiceError::Overloaded`] when the queue is full (nothing was
-    /// enqueued; resubmitting later is safe), or
+    /// enqueued; resubmitting later is safe),
+    /// [`ServiceError::UnknownAgent`] when a `K` or `B` operator names an
+    /// agent the model lacks (nothing was enqueued), or
     /// [`ServiceError::ShuttingDown`] after [`PakServer::shutdown`] has
     /// begun.
     pub fn submit(&self, query: Query<M::Global, P>) -> Result<Ticket<P>, ServiceError> {
@@ -189,6 +194,17 @@ where
     ) -> Result<Ticket<P>, ServiceError> {
         if !self.accepting.load(Ordering::Acquire) {
             return Err(ServiceError::ShuttingDown);
+        }
+        // The engine indexes cells by agent, so a missing agent would
+        // panic the worker and cost it its session: refuse at the door.
+        let n_agents = self.n_agents;
+        if let Some(agent) = query
+            .formulas()
+            .iter()
+            .find_map(|f| f.agent_outside(n_agents))
+        {
+            self.stats.rejected.fetch_add(1, Ordering::Relaxed);
+            return Err(ServiceError::UnknownAgent { agent, n_agents });
         }
         let cancel = deadline.map_or_else(CancelToken::new, CancelToken::with_deadline);
         let (reply_tx, reply_rx) = mpsc::sync_channel(1);

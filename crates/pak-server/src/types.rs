@@ -2,7 +2,7 @@
 
 use std::time::Duration;
 
-use pak_core::ids::Time;
+use pak_core::ids::{AgentId, Time};
 use pak_core::prob::Probability;
 use pak_core::state::GlobalState;
 use pak_engine::{CacheBudget, CacheStats, Verdict};
@@ -93,6 +93,16 @@ pub enum Query<G: GlobalState, P: Probability> {
     },
 }
 
+impl<G: GlobalState, P: Probability> Query<G, P> {
+    /// The formulas the query evaluates.
+    pub(crate) fn formulas(&self) -> &[Formula<G, P>] {
+        match self {
+            Query::Verdicts { formulas, .. } => formulas,
+            Query::Measure { formula, .. } => core::slice::from_ref(formula),
+        }
+    }
+}
+
 /// A successful answer.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Answer<P: Probability> {
@@ -123,6 +133,14 @@ pub enum ServiceError {
     Overloaded,
     /// The service is shutting down and no longer accepts work.
     ShuttingDown,
+    /// A `K` or `B` operator of the query names an agent the model lacks;
+    /// nothing was enqueued.
+    UnknownAgent {
+        /// The first such agent, depth first through the query's formulas.
+        agent: AgentId,
+        /// How many agents the model has.
+        n_agents: u32,
+    },
     /// The request's deadline passed before an exact answer was ready
     /// and no degradation applied (verdict queries, epistemic formulas,
     /// or no fallback tier configured).
@@ -140,6 +158,11 @@ impl std::fmt::Display for ServiceError {
         match self {
             ServiceError::Overloaded => write!(f, "work queue is full; request rejected"),
             ServiceError::ShuttingDown => write!(f, "service is shutting down"),
+            ServiceError::UnknownAgent { agent, n_agents } => write!(
+                f,
+                "formula names agent {} but the model has {n_agents} agent(s)",
+                agent.0
+            ),
             ServiceError::DeadlineExceeded => write!(f, "deadline exceeded"),
             ServiceError::WorkerPanicked => write!(f, "worker panicked while serving the request"),
             ServiceError::Unfold(e) => write!(f, "unfold failed: {e}"),
@@ -173,7 +196,8 @@ pub struct ShutdownSummary {
     pub accepted: u64,
     /// Requests answered successfully (exact or degraded).
     pub served: u64,
-    /// Submissions rejected with [`ServiceError::Overloaded`].
+    /// Submissions rejected with [`ServiceError::Overloaded`] or
+    /// [`ServiceError::UnknownAgent`].
     pub rejected: u64,
     /// Served requests that degraded to the Monte-Carlo tier.
     pub degraded: u64,

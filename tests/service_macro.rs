@@ -1,7 +1,8 @@
 //! Macro tests for the serving layer: a ≥1000-query mixed workload
 //! replayed against a byte-budgeted cache, overload rejection with a
 //! guaranteed drain, degradation to the Monte-Carlo tier cross-checked
-//! against exact measures, and adversary-variant cache identity.
+//! against exact measures, adversary-variant cache identity, and the
+//! refusal at submission of formulas naming an agent the model lacks.
 //!
 //! The degradation test installs a failpoint plan (process-global), so
 //! every test in this binary serialises on one lock.
@@ -15,6 +16,7 @@ use pak::core::failpoint::{self, FailPlan, Fault};
 use pak::core::prelude::*;
 use pak::dsl::{compile, parse};
 use pak::engine::{CacheBudget, CachedUnfolder, Evaluator, PpsCache};
+use pak::logic::parser::FormulaParser;
 use pak::logic::Formula;
 use pak::num::Rational;
 use pak::protocol::generator::{random_model, RandomModelConfig};
@@ -336,6 +338,70 @@ fn shut_down_server_refuses_new_work() {
     assert!(t.wait().is_ok());
     let summary = server.shutdown();
     assert_eq!(summary.accepted, 1);
+}
+
+/// A formula whose `K` or `B` names an agent the model lacks is refused
+/// at submission with a typed error, for both query shapes; it never
+/// reaches (and never panics) a worker, the summary still accounts for
+/// every submission, and the next valid query is answered exactly.
+#[test]
+fn unknown_agent_is_rejected_at_submission() {
+    let _serial = service_lock();
+    let model = Arc::new(CoinModel {
+        heads_num: 3,
+        heads_den: 4,
+    });
+    let server = PakServer::<_, Rational>::start(
+        Arc::clone(&model),
+        ServerConfig {
+            workers: 1,
+            ..ServerConfig::default()
+        },
+    );
+    let mut parser = FormulaParser::<CoinState, Rational>::new();
+    parser.atom("heads", StateFact::new("heads", |g: &CoinState| g.heads));
+    let k7 = parser.parse("K7 heads").unwrap();
+    let b7 = parser.parse("<> (heads & B7{>=1/2} heads)").unwrap();
+    let unknown = |agent| ServiceError::UnknownAgent {
+        agent: AgentId(agent),
+        n_agents: 1,
+    };
+    let verdicts = Query::Verdicts {
+        horizon: 1,
+        formulas: vec![parser.parse("heads").unwrap(), k7],
+    };
+    assert_eq!(server.submit(verdicts).unwrap_err(), unknown(7));
+    let measure = Query::Measure {
+        horizon: 1,
+        time: 0,
+        formula: b7,
+    };
+    let err = server
+        .submit_with_deadline(measure, Some(std::time::Duration::from_secs(5)))
+        .unwrap_err();
+    assert_eq!(err, unknown(7));
+
+    let heads = parser.parse("K0 heads").unwrap();
+    let expected = {
+        let config = UnfoldConfig {
+            horizon: Some(1),
+            ..UnfoldConfig::default()
+        };
+        let pps = unfold_with(&*model, &config).unwrap();
+        Evaluator::new(&pps).measure_at_time(&heads, 0)
+    };
+    let ticket = server
+        .submit(Query::Measure {
+            horizon: 1,
+            time: 0,
+            formula: heads,
+        })
+        .unwrap();
+    assert_eq!(ticket.wait(), Ok(Answer::Exact(expected)));
+    let summary = server.shutdown();
+    assert_eq!(summary.worker_panics, 0, "{summary:?}");
+    assert_eq!((summary.accepted, summary.rejected), (1, 2), "{summary:?}");
+    assert_eq!(summary.served, 1, "{summary:?}");
 }
 
 /// Satellite: the shutdown summary carries the cache's own counters —
