@@ -14,7 +14,7 @@ use pak_core::failpoint::{self, FailPlan, Fault};
 use pak_core::prelude::*;
 use pak_engine::Evaluator;
 use pak_logic::generator::{random_formula, RandomFormulaConfig};
-use pak_logic::{Formula, ModelChecker};
+use pak_logic::{Formula, FormulaParser, ModelChecker};
 use pak_num::Rational;
 use pak_protocol::generator::{random_model, random_pps, RandomModelConfig};
 use pak_protocol::model::TableModel;
@@ -32,6 +32,61 @@ fn cfg(horizon: u32) -> RandomModelConfig {
         local_values: 2,
         actions_per_agent: 2,
     }
+}
+
+/// A two-agent random walk on a cycle of eight positions, stepping up or
+/// down at every time with fixed sixteenths — the shape of the walk the
+/// end-to-end benchmark serves. Agent `a` sees the position's parity,
+/// agent `b` whether it is in the upper half.
+fn walk_program(horizon: u64) -> String {
+    use std::fmt::Write as _;
+    let mut src = String::from("protocol walk {\n    agents a, b;\n");
+    let _ = writeln!(src, "    horizon {horizon};");
+    for p in 0..8 {
+        let _ = writeln!(
+            src,
+            "    state s{p} = ({p}, {}, {});",
+            p % 2,
+            u64::from(p >= 4)
+        );
+    }
+    src.push_str("    init { 5/16: s0; 11/16: s4; }\n    transitions {\n");
+    for t in 0..horizon {
+        let n = 3 + (t * 7) % 10;
+        for p in 0..8 {
+            let (up, down) = ((p + 1) % 8, (p + 7) % 8);
+            let _ = writeln!(
+                src,
+                "        from s{p} at {t} -> {{ {n}/16: s{up}; {}/16: s{down}; }};",
+                16 - n
+            );
+        }
+    }
+    src.push_str("    }\n}");
+    src
+}
+
+/// Six belief formulas over the walk's atoms, one per threshold the
+/// end-to-end benchmark draws.
+fn walk_beliefs() -> Vec<Formula<SimpleState, Rational>> {
+    let mut parser = FormulaParser::new();
+    parser.atom("hi", StateFact::new("hi", |g: &SimpleState| g.env >= 4));
+    parser.atom(
+        "odd",
+        StateFact::new("odd", |g: &SimpleState| g.env % 2 == 1),
+    );
+    parser.atom("zero", StateFact::new("zero", |g: &SimpleState| g.env == 0));
+    [
+        "B0{>=1/3} (hi)",
+        "B1{>=1/2} (odd)",
+        "B0{>=2/3} (<>(zero))",
+        "B1{>=3/4} ((hi) & (odd))",
+        "B0{>=9/10} ([]((hi) | (odd)))",
+        "B1{>=99/100} (!(zero))",
+    ]
+    .iter()
+    .map(|t| parser.parse(t).unwrap())
+    .collect()
 }
 
 fn benches(c: &mut Criterion) {
@@ -156,6 +211,32 @@ fn benches(c: &mut Criterion) {
                 }
             }
             black_box(valid)
+        })
+    });
+    // Belief on a deep tree: six `B` formulas on a cold `Evaluator` per
+    // iteration, as a server request evaluates them, over the two-agent
+    // walk of the end-to-end benchmark's `serve_warm` workload (horizon
+    // 10, a sixteenths step at every level, 2 048 runs). The tree is
+    // unfolded once, so its exact mass column is built in the first
+    // iteration and reused by every later one.
+    let walk = pak_dsl::compile_str::<Rational>(&walk_program(10))
+        .unwrap()
+        .into_model();
+    let walk_tree = unfold_with::<_, Rational>(&walk, &UnfoldConfig::default()).unwrap();
+    assert_eq!(walk_tree.num_runs(), 2048);
+    let belief_formulas = walk_beliefs();
+    let mc = ModelChecker::new(&walk_tree);
+    let naive: Vec<bool> = belief_formulas.iter().map(|f| mc.valid(f)).collect();
+    let batched: Vec<bool> = Evaluator::new(&walk_tree)
+        .evaluate_batch(&belief_formulas)
+        .iter()
+        .map(|v| v.valid)
+        .collect();
+    assert_eq!(naive, batched, "engines disagree on belief validity");
+    group.bench_function("belief_h10", |b| {
+        b.iter(|| {
+            let mut ev = Evaluator::new(&walk_tree);
+            black_box(ev.evaluate_batch(&belief_formulas))
         })
     });
     group.finish();

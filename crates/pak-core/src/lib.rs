@@ -62,6 +62,7 @@ pub mod hash;
 pub mod ids;
 pub mod independence;
 pub mod intern;
+pub mod mass;
 pub mod pps;
 pub mod prob;
 pub mod state;

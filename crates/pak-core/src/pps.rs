@@ -18,6 +18,11 @@
 //!   order),
 //! * local-state cells (information sets) for every agent at every time.
 //!
+//! An exact system also builds, on its first conditional measure, the
+//! mass column of [`crate::mass`]: run numerators over one common
+//! denominator, which turn conditionals and belief thresholds into
+//! integer sums.
+//!
 //! # Interned states
 //!
 //! Many tree nodes share one global state (successor merging and
@@ -49,12 +54,14 @@
 //! system for the same node order.
 
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 use crate::error::PpsError;
 use crate::event::RunSet;
 use crate::hash::FxBuildHasher;
 use crate::ids::{ActionId, AgentId, CellId, LocalId, NodeId, Point, RunId, StateId, Time};
 use crate::intern::{LocalPool, StatePool};
+use crate::mass::MassColumn;
 use crate::prob::Probability;
 use crate::state::{GlobalState, LocalState};
 
@@ -220,6 +227,9 @@ pub struct Cell<L> {
     pub runs: RunSet,
 }
 
+/// Where a [`Pps`] keeps its lazily built mass column.
+type MassSlot<P> = OnceLock<Option<Box<<P as Probability>::Column>>>;
+
 /// A validated purely probabilistic system.
 ///
 /// # Examples
@@ -274,6 +284,11 @@ pub struct Pps<G: GlobalState, P: Probability> {
     cells: Vec<Cell<G::Local>>,
     /// Optional human-readable action names for diagnostics.
     action_names: HashMap<ActionId, String>,
+    /// The exact mass column ([`crate::mass`]), built on the first
+    /// [`Pps::conditional`] or [`Pps::belief_at_least`] and reset when
+    /// [`PpsExtender::commit_level`] grows the tree. Boxed, so the slot
+    /// is one pointer and a once-flag whatever `P` is.
+    mass: MassSlot<P>,
 }
 
 impl<G: GlobalState, P: Probability> Pps<G, P> {
@@ -424,14 +439,17 @@ impl<G: GlobalState, P: Probability> Pps<G, P> {
     /// This is a *lower bound*, not an exact accounting: heap data owned
     /// by `G`, `G::Local`, or `P` elements (e.g. a `Rational`'s limb
     /// vector) is counted at `size_of` only, and allocator slack is
-    /// ignored. It is cheap (no traversal of element contents), stable
-    /// for a given tree, and monotone in tree size — which is all the
-    /// cache's memory-budget eviction needs.
+    /// ignored. The mass column (see [`Pps::conditional`]) is not counted
+    /// at all, neither its slot nor its words: it is built after a cache
+    /// inserts the tree, if ever, so a footprint taken at insert could
+    /// not see it anyway. It is cheap (no traversal of element contents),
+    /// stable for a given tree, and monotone in tree size — which is all
+    /// the cache's memory-budget eviction needs.
     #[must_use]
     pub fn memory_footprint(&self) -> usize {
         use std::mem::size_of;
         let nodes = &self.nodes;
-        let mut bytes = size_of::<Self>();
+        let mut bytes = size_of::<Self>() - size_of::<MassSlot<P>>();
         bytes += nodes.parents.len() * size_of::<NodeId>();
         bytes += nodes.states.len() * size_of::<Option<StateId>>();
         bytes += nodes.depths.len() * size_of::<u32>();
@@ -550,11 +568,56 @@ impl<G: GlobalState, P: Probability> Pps<G, P> {
     /// The conditional measure `µ_T(A | B)`.
     ///
     /// Returns `None` when `µ_T(B) = 0`. Note that in a pps every edge has
-    /// strictly positive probability, so `µ_T(B) = 0` iff `B = ∅`. The
-    /// intersection measure is accumulated directly from the two bitsets;
-    /// no intermediate event is materialised.
+    /// strictly positive probability, so `µ_T(B) = 0` iff `B = ∅`.
+    ///
+    /// For an exact `P` ([`Probability::Column`]) this is two integer sums
+    /// over the tree's common denominator and one reduction, read from the
+    /// tree's mass column ([`crate::mass`]). The first call builds that
+    /// column and the tree keeps it, so a tree held in a cache keeps it
+    /// for every later request. [`Pps::memory_footprint`] does not count
+    /// it. `f64` has no column and accumulates in ascending run order.
     #[must_use]
     pub fn conditional(&self, a: &RunSet, b: &RunSet) -> Option<P> {
+        match self.mass_column() {
+            Some(column) => column.conditional(a, b),
+            None => self.conditional_fold(a, b),
+        }
+    }
+
+    /// Whether `µ_T(A | ℓ) ≥ p` for the cell `cell` — `B_i^{≥p}`'s verdict
+    /// on that cell, equal to `conditional(a, cell_runs(cell)) ≥ p` (with
+    /// [`Probability::at_least`]'s tolerance). An exact `P` decides it by
+    /// the cross-multiplied `Σ_{A∩ℓ} · den(p) ≥ num(p) · Σ_ℓ` on the mass
+    /// column, without building the belief.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cell` is out of range.
+    #[must_use]
+    pub fn belief_at_least(&self, a: &RunSet, cell: CellId, p: &P) -> bool {
+        let runs = self.cell_runs(cell);
+        match self.mass_column() {
+            Some(column) => column.cell_at_least(a, cell, runs, p),
+            None => self
+                .conditional_fold(a, runs)
+                .expect("cells have positive measure")
+                .at_least(p),
+        }
+    }
+
+    /// The tree's mass column, built on first use; `None` for types
+    /// without one.
+    fn mass_column(&self) -> Option<&P::Column> {
+        self.mass
+            .get_or_init(|| {
+                P::Column::build(&self.run_probs, self.cells.iter().map(|c| &c.runs)).map(Box::new)
+            })
+            .as_deref()
+    }
+
+    /// `µ_T(A | B)` by accumulating `P` in ascending run order over `B`
+    /// and over `A ∩ B`, with no intermediate event materialised.
+    fn conditional_fold(&self, a: &RunSet, b: &RunSet) -> Option<P> {
         // Count runs alongside the sums: when the intersection is empty
         // or covers all of `b` the answer is exactly 0 or 1 and neither
         // sum nor quotient is needed — singleton cells (the common case
@@ -1045,6 +1108,7 @@ impl<G: GlobalState, P: Probability> Pps<G, P> {
             first_cell,
             cells,
             action_names,
+            mass: OnceLock::new(),
         })
     }
 }
@@ -1695,7 +1759,9 @@ impl<G: GlobalState, P: Probability> PpsExtender<G, P> {
     /// Validates the open level and repairs every derived index (see the
     /// type docs for what is appended vs repaired). On success the
     /// wrapped system is the grown tree, bit-identical to a from-scratch
-    /// build; on error the level is aborted and the system is unchanged.
+    /// build, and its mass column is dropped: runs and cells changed, so
+    /// the next [`Pps::conditional`] builds a new one. On error the level
+    /// is aborted and the system is unchanged.
     ///
     /// # Errors
     ///
@@ -1719,6 +1785,7 @@ impl<G: GlobalState, P: Probability> PpsExtender<G, P> {
             return Err(PpsError::BadDistribution { node, sum });
         }
         self.level = None;
+        self.pps.mass = OnceLock::new();
         let old_nodes = level.nodes;
         // All new nodes share one fresh time — the key fact behind both
         // the run repair (only extended leaves' runs change) and the cell

@@ -13,6 +13,8 @@ use core::fmt::{Debug, Display};
 
 use pak_num::Rational;
 
+use crate::mass::{IntegerColumn, MassColumn, NoColumn};
+
 /// Absolute tolerance used when comparing `f64` probabilities for equality
 /// (e.g. validating that a distribution sums to one).
 pub const F64_TOLERANCE: f64 = 1e-9;
@@ -38,6 +40,13 @@ pub const F64_TOLERANCE: f64 = 1e-9;
 /// assert_eq!(half::<Rational>(), Rational::from_ratio(1, 2));
 /// ```
 pub trait Probability: Clone + PartialEq + PartialOrd + Debug + Display + 'static {
+    /// The mass column a tree over this type sums its conditional
+    /// measures on (see [`crate::mass`]) — the one hook where exact and
+    /// floating-point measures part. [`Rational`] sums integer numerators
+    /// over the tree's common denominator ([`IntegerColumn`]); `f64` has
+    /// no column ([`NoColumn`]) and folds in ascending run order.
+    type Column: MassColumn<Self>;
+
     /// The additive identity, probability `0`.
     fn zero() -> Self;
 
@@ -116,6 +125,8 @@ pub trait Probability: Clone + PartialEq + PartialOrd + Debug + Display + 'stati
 }
 
 impl Probability for f64 {
+    type Column = NoColumn;
+
     fn zero() -> Self {
         0.0
     }
@@ -179,6 +190,8 @@ impl Probability for f64 {
 }
 
 impl Probability for Rational {
+    type Column = IntegerColumn;
+
     fn zero() -> Self {
         Rational::zero()
     }

@@ -260,19 +260,15 @@ impl<'p, G: GlobalState, P: Probability> Evaluator<'p, G, P> {
                 let mut table = Vec::with_capacity(times);
                 for (t, cells) in cells_at[agent.index()].iter().enumerate() {
                     let mut out = RunSet::empty(n);
-                    // One conditional measure per cell. `conditional`
-                    // accumulates over the intersection in ascending run
-                    // order — the exact operand sequence the naive
-                    // checker's `belief_in_cell` uses, so the verdict is
-                    // bit-equal even for `f64`.
+                    // One threshold test per cell. An exact `P` decides it
+                    // as a cross-multiplied integer compare on the tree's
+                    // mass column, without building the belief; `f64`
+                    // folds over the intersection in ascending run order —
+                    // the operand sequence of the naive checker's
+                    // `belief_in_cell` — so its verdict is bit-equal too.
                     for &cid in cells {
-                        let runs = self.pps.cell_runs(cid);
-                        let belief = self
-                            .pps
-                            .conditional(&self.truth[x.index()][t], runs)
-                            .expect("cells have positive measure");
-                        if belief.at_least(&p) {
-                            out.union_with(runs);
+                        if self.pps.belief_at_least(&self.truth[x.index()][t], cid, &p) {
+                            out.union_with(self.pps.cell_runs(cid));
                         }
                     }
                     table.push(out);

@@ -414,11 +414,7 @@ impl MulAssign<&BigInt> for BigInt {
 
 impl fmt::Display for BigInt {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.sign == Sign::Negative {
-            write!(f, "-{}", self.magnitude)
-        } else {
-            write!(f, "{}", self.magnitude)
-        }
+        self.magnitude.fmt_signed(f, self.sign != Sign::Negative)
     }
 }
 

@@ -176,6 +176,37 @@ impl BigUint {
         }
     }
 
+    /// The value's significant little-endian `u64` words (empty for
+    /// zero) — the operand form of the public [`limbs`](crate::limbs)
+    /// kernels.
+    ///
+    /// ```
+    /// use pak_num::BigUint;
+    /// let v = BigUint::from(u128::MAX) + BigUint::from(1u32);
+    /// assert_eq!(v.limbs(), &[0, 0, 1]);
+    /// assert_eq!(BigUint::from_limbs(v.limbs()), v);
+    /// assert!(BigUint::zero().limbs().is_empty());
+    /// ```
+    #[must_use]
+    #[inline]
+    pub fn limbs(&self) -> &[u64] {
+        self.words()
+    }
+
+    /// The value of little-endian `u64` words; zero words on top are
+    /// allowed.
+    #[must_use]
+    pub fn from_limbs(words: &[u64]) -> Self {
+        let len = limbs::sig_len(words);
+        if len <= FIXED_LIMBS {
+            let mut w = [0; FIXED_LIMBS];
+            w[..len].copy_from_slice(&words[..len]);
+            Self::from_words(w)
+        } else {
+            Self::from_words(words[..len].to_vec())
+        }
+    }
+
     /// Width of the fixed stack tier in bits (`64 × FIXED_LIMBS`).
     ///
     /// Values in `(u64::MAX, 2^FIXED_BITS)` live in the stack-resident
@@ -728,10 +759,32 @@ impl MulAssign<&BigUint> for BigUint {
 
 impl fmt::Display for BigUint {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        // Decimal output is representation-independent: all three tiers
-        // print identical digits for the same value. `ModelFingerprint`
-        // digests probabilities through `Display`, so this is a stability
-        // contract the engine cache depends on, not just cosmetics.
+        self.fmt_signed(f, true)
+    }
+}
+
+impl BigUint {
+    /// Writes the decimal digits behind an optional `-` sign, honouring
+    /// the formatter's width, fill, alignment, `+` and `0` flags as the
+    /// primitive integers do (`Formatter::pad_integral`).
+    ///
+    /// Decimal output is representation-independent: all three tiers
+    /// print identical digits for the same value. `ModelFingerprint`
+    /// digests probabilities through plain `{}`, so that output is a
+    /// stability contract the engine cache depends on, not cosmetics; it
+    /// streams straight to the formatter.
+    pub(crate) fn fmt_signed(
+        &self,
+        f: &mut fmt::Formatter<'_>,
+        is_nonnegative: bool,
+    ) -> fmt::Result {
+        if f.width().is_some() || f.sign_plus() {
+            let digits = self.to_string();
+            return f.pad_integral(is_nonnegative, "", &digits);
+        }
+        if !is_nonnegative {
+            f.write_str("-")?;
+        }
         if let Repr::Inline(v) = self.repr {
             return write!(f, "{v}");
         }

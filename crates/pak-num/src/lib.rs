@@ -84,7 +84,7 @@
 mod bigint;
 mod biguint;
 mod decimal;
-mod limbs;
+pub mod limbs;
 mod parse;
 mod rational;
 

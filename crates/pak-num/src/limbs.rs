@@ -3,7 +3,10 @@
 //! The one set of multi-word algorithms behind [`BigUint`](crate::BigUint)'s
 //! two wide tiers: the stack-resident `Fixed([u64; 3])` tier runs them into
 //! stack scratch arrays, the `Heap(Vec<u64>)` tier into vectors, so the two
-//! tiers share every line of carry, borrow and quotient logic.
+//! tiers share every line of carry, borrow and quotient logic. The public
+//! kernels ([`sig_len`], [`cmp`], [`add_assign`], [`mul`]) also serve
+//! fixed-width integer sums outside this crate — `pak-core`'s mass column
+//! of exact run numerators — so no caller needs a carry loop of its own.
 //!
 //! Every kernel works on plain slices and never allocates. Carries and
 //! borrows go through `u128` widening (the stable-Rust spelling of
@@ -17,7 +20,8 @@ use core::cmp::Ordering;
 
 /// Number of significant words (0 for the value zero).
 #[inline]
-pub(crate) fn sig_len(a: &[u64]) -> usize {
+#[must_use]
+pub fn sig_len(a: &[u64]) -> usize {
     let mut len = a.len();
     while len > 0 && a[len - 1] == 0 {
         len -= 1;
@@ -37,7 +41,8 @@ pub(crate) fn bits(a: &[u64]) -> u64 {
 /// Compares two values given as significant slices (no zero word on top)
 /// or as zero-padded slices of one length.
 #[inline]
-pub(crate) fn cmp(a: &[u64], b: &[u64]) -> Ordering {
+#[must_use]
+pub fn cmp(a: &[u64], b: &[u64]) -> Ordering {
     if a.len() != b.len() {
         return a.len().cmp(&b.len());
     }
@@ -54,15 +59,31 @@ pub(crate) fn cmp(a: &[u64], b: &[u64]) -> Ordering {
 #[inline]
 pub(crate) fn add(a: &[u64], b: &[u64], out: &mut [u64]) {
     let (long, short) = if a.len() >= b.len() { (a, b) } else { (b, a) };
-    let mut carry = 0u128;
-    for (i, o) in out.iter_mut().enumerate() {
-        let x = long.get(i).copied().unwrap_or(0);
-        let y = short.get(i).copied().unwrap_or(0);
-        let s = u128::from(x) + u128::from(y) + carry;
-        *o = s as u64;
-        carry = s >> 64;
+    debug_assert!(out.len() > long.len(), "add output too short");
+    out[..long.len()].copy_from_slice(long);
+    out[long.len()..].fill(0);
+    let carry = add_assign(out, short);
+    debug_assert!(!carry, "add output too short");
+}
+
+/// `acc += b` in place over `acc.len()` words (`b` no longer than `acc`).
+/// Returns the carry out of the top word, which is lost from `acc`.
+#[inline]
+pub fn add_assign(acc: &mut [u64], b: &[u64]) -> bool {
+    debug_assert!(b.len() <= acc.len());
+    let mut carry = false;
+    for (i, o) in acc.iter_mut().enumerate() {
+        let y = match b.get(i) {
+            Some(&y) => y,
+            None if !carry => return false,
+            None => 0,
+        };
+        let (s, c1) = o.overflowing_add(y);
+        let (s, c2) = s.overflowing_add(u64::from(carry));
+        *o = s;
+        carry = c1 || c2;
     }
-    debug_assert_eq!(carry, 0, "add output too short");
+    carry
 }
 
 /// `out = a − b` over `a.len()` words (`b` no longer than `a`); returns
@@ -83,7 +104,7 @@ pub(crate) fn sub(a: &[u64], b: &[u64], out: &mut [u64]) -> bool {
 
 /// `out += a × b` (schoolbook). `out` must hold `a.len() + b.len()` words
 /// and start at zero for a plain product.
-pub(crate) fn mul(a: &[u64], b: &[u64], out: &mut [u64]) {
+pub fn mul(a: &[u64], b: &[u64], out: &mut [u64]) {
     debug_assert!(out.len() >= a.len() + b.len());
     for (i, &x) in a.iter().enumerate() {
         if x == 0 {
@@ -171,13 +192,8 @@ pub(crate) fn div_rem(u: &mut [u64], v: &mut [u64], q: &mut [u64]) {
         if b1 || b2 {
             // q̂ was one too large: add the divisor back.
             qhat -= 1;
-            let mut carry = 0u128;
-            for i in 0..n {
-                let s = u128::from(u[i + j]) + u128::from(v[i]) + carry;
-                u[i + j] = s as u64;
-                carry = s >> 64;
-            }
-            u[j + n] = u[j + n].wrapping_add(carry as u64);
+            let carry = add_assign(&mut u[j..j + n], v);
+            u[j + n] = u[j + n].wrapping_add(u64::from(carry));
         }
         q[j] = qhat as u64;
     }
@@ -421,6 +437,18 @@ mod tests {
                 _ => panic!("sub underflow disagreement, case {case}"),
             }
             assert_eq!(cmp(sig(&a), sig(&b)), cmp_u256(ra, rb), "cmp, case {case}");
+            // In place over four words, with a shorter addend: the carry
+            // out of the top is reported, never silently kept.
+            let mut acc = a;
+            let carry = add_assign(&mut acc, sig(&b));
+            match add_u256(ra, rb) {
+                Some(rs) => assert_eq!(
+                    (to_u256(&acc), carry),
+                    (rs, false),
+                    "add_assign, case {case}"
+                ),
+                None => assert!(carry, "add_assign carry, case {case}"),
+            }
         }
     }
 

@@ -755,12 +755,17 @@ impl<'a> Product<&'a Rational> for Rational {
 // ---------------------------------------------------------------------------
 
 impl fmt::Display for Rational {
+    /// `num` for an integer, `num/den` otherwise. A width pads the whole
+    /// text (`Formatter::pad`: fill, alignment, and a precision truncates
+    /// it as it would a string); plain `{}` streams the digits unchanged.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         if self.den.is_one() {
-            write!(f, "{}", self.num)
-        } else {
-            write!(f, "{}/{}", self.num, self.den)
+            return fmt::Display::fmt(&self.num, f);
         }
+        if f.width().is_some() {
+            return f.pad(&format!("{}/{}", self.num, self.den));
+        }
+        write!(f, "{}/{}", self.num, self.den)
     }
 }
 

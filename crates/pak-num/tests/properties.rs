@@ -238,6 +238,67 @@ fn biguint_display_parse_roundtrip() {
     }
 }
 
+/// `Display` honours width, fill, alignment and the `+`/`0` flags in
+/// every tier, as the primitive integers do, for `BigUint`, `BigInt` and
+/// `Rational`. Plain `{}` stays the bare digits of the independent naive
+/// reference — the form `ModelFingerprint` digests.
+#[test]
+fn display_pads_in_every_tier() {
+    let values = [
+        Naive::from_words(&[7]),
+        Naive::from_words(&[u64::MAX]),
+        Naive::from_words(&[5, 1]),
+        Naive::from_words(&[0, 0, 1 << 63]),
+        Naive::from_words(&[0, 0, 0, 1]),
+        Naive::from_words(&[u64::MAX; 6]),
+    ];
+    let mut tiers = [false; 3];
+    for nv in &values {
+        let v = nv.to_biguint();
+        tiers[usize::from(v.is_fixed()) + 2 * usize::from(v.is_heap())] = true;
+        let digits = nv.to_decimal();
+        let w = digits.len() + 5;
+        assert_eq!(format!("{v}"), digits, "plain Display");
+        assert_eq!(
+            format!("{v:w$}"),
+            format!("{digits:>w$}"),
+            "default alignment"
+        );
+        assert_eq!(format!("{v:<w$}"), format!("{digits:<w$}"));
+        assert_eq!(format!("[{v:*^w$}]"), format!("[{digits:*^w$}]"));
+        assert_eq!(format!("{v:>w$}"), format!("{digits:>w$}"));
+        assert_eq!(format!("{v:0w$}"), format!("{digits:0>w$}"));
+        assert_eq!(format!("{v:+}"), format!("+{digits}"));
+        assert_eq!(format!("{v:1}"), digits, "a narrow width never truncates");
+
+        let neg = -BigInt::from(v.clone());
+        let signed = format!("-{digits}");
+        assert_eq!(format!("{neg}"), signed);
+        assert_eq!(format!("{neg:>w$}"), format!("{signed:>w$}"));
+        assert_eq!(format!("{neg:0w$}"), format!("-{digits:0>0$}", w - 1));
+
+        let third = Rational::new(
+            BigInt::from(v.clone()),
+            BigInt::from(&v + &BigUint::from(1u32)),
+        )
+        .unwrap();
+        let text = format!("{third}");
+        assert_eq!(text, format!("{digits}/{}", (&v + &BigUint::from(1u32))));
+        let wide = text.len() + 3;
+        assert_eq!(format!("{third:>wide$}"), format!("{text:>wide$}"));
+        assert_eq!(format!("{third:_<wide$}"), format!("{text:_<wide$}"));
+        let whole = Rational::from(v.clone());
+        assert_eq!(format!("{whole:^w$}"), format!("{digits:^w$}"));
+    }
+    assert_eq!(
+        tiers, [true; 3],
+        "inline, fixed and heap values all printed"
+    );
+    assert_eq!(format!("[{:>6}]", BigUint::from(7u32)), "[     7]");
+    assert_eq!(format!("[{:>6}]", Rational::from_ratio(1, 3)), "[   1/3]");
+    assert_eq!(format!("[{:<6}]", Rational::from_ratio(-1, 3)), "[-1/3  ]");
+}
+
 #[test]
 fn biguint_cmp_matches_u128() {
     let mut rng = Rng::new(0xC3B);

@@ -10,9 +10,12 @@
 //! recursion. Formulas cover every constructor of the language nested to
 //! depth 3 (seeded generation, `pak_logic::generator`), and the sweep runs
 //! under both exact `Rational` and `f64` probabilities; measures are
-//! compared with `==`, i.e. bit-equality, which holds because the batched
-//! belief/measure paths accumulate in the same ascending-run order as the
-//! naive ones.
+//! compared with `==`, i.e. bit-equality. For `f64` that holds because the
+//! batched belief/measure paths accumulate in the same ascending-run order
+//! as the naive ones; for `Rational` the batched belief test is a
+//! cross-multiplied integer compare on the tree's mass column, so each
+//! configuration also asks `B_i^{≥p}` at `p = 0`, `p = 1` and `p` equal to
+//! an exact cell belief, where an off-by-one in that compare would show.
 
 use pak::core::ids::{Point, RunId};
 use pak::core::prob::Probability;
@@ -115,6 +118,31 @@ fn check_system<P: Probability>(
     }
 }
 
+/// `B_i^{≥p}` at the thresholds where a belief test can be off by one:
+/// `p = 0`, `p = 1`, and `p` equal to an exact cell belief (computed by
+/// `Pps::conditional` on the naive checker's event), over the first two
+/// inner formulas of a configuration.
+fn boundary_formulas<P: Probability>(
+    pps: &pak::core::pps::Pps<SimpleState, P>,
+    inner: &[Formula<SimpleState, P>],
+) -> Vec<Formula<SimpleState, P>> {
+    let mc = ModelChecker::new(pps);
+    let mut out = Vec::new();
+    for phi in inner.iter().take(2) {
+        for agent in pps.agents() {
+            let mut thresholds = vec![P::zero(), P::one()];
+            for (cid, cell) in pps.agent_cells(agent).take(2) {
+                let event = mc.event_at_time(phi, cell.time);
+                thresholds.push(pps.conditional(&event, pps.cell_runs(cid)).unwrap());
+            }
+            for p in thresholds {
+                out.push(Formula::believes_at_least(agent, phi.clone(), p));
+            }
+        }
+    }
+    out
+}
+
 fn sweep<P: Probability>() -> usize {
     let mut cases = 0;
     for n_agents in 1..=2u32 {
@@ -132,7 +160,8 @@ fn sweep<P: Probability>() -> usize {
                     };
                     let model = random_model::<P>(seed * 101 + 7, &cfg);
                     let pps = unfold::<_, P>(&model).expect("random model unfolds");
-                    let formulas = formulas_for::<P>(seed * 101 + 7, n_agents);
+                    let mut formulas = formulas_for::<P>(seed * 101 + 7, n_agents);
+                    formulas.extend(boundary_formulas(&pps, &formulas));
                     check_system(&pps, &formulas);
                     cases += 1;
                 }
