@@ -12,6 +12,8 @@
 //! measure, the posterior is always well defined. This is the `P_post`
 //! notion of Halpern–Tuttle, as the paper notes.
 
+use std::collections::HashMap;
+
 use crate::error::AnalysisError;
 use crate::fact::{Fact, Facts};
 use crate::ids::{ActionId, AgentId, CellId, Point, RunId};
@@ -176,61 +178,41 @@ impl<P: Probability> ActionAnalysis<P> {
         action: ActionId,
         fact: &dyn Fact<G, P>,
     ) -> Result<Self, AnalysisError> {
-        let mut performed = false;
-        for run in pps.run_ids() {
-            match pps.performance_count(agent, action, run) {
-                0 => {}
-                1 => performed = true,
-                _ => {
-                    return Err(AnalysisError::ImproperAction {
-                        agent,
-                        action,
-                        never_performed: false,
-                    })
-                }
-            }
-        }
-        if !performed {
-            return Err(AnalysisError::ImproperAction {
-                agent,
-                action,
-                never_performed: true,
-            });
-        }
-
-        // Beliefs are constant across a local-state cell (Definition 3.1),
-        // so evaluate the posterior once per cell and share it across all
-        // runs acting from that cell, instead of re-conditioning per point.
-        let mut cell_beliefs: std::collections::HashMap<CellId, P> =
-            std::collections::HashMap::new();
+        // One walk over the runs checks properness and finds each acting
+        // point. Beliefs are constant across a local-state cell
+        // (Definition 3.1), so the posterior is evaluated once per cell and
+        // shared across all runs acting from that cell; a cell enters
+        // `L_i[α]` when the walk first meets it.
+        let mut cell_beliefs: HashMap<CellId, P> = HashMap::new();
+        let mut action_cells = Vec::new();
         let mut per_run = Vec::new();
         let mut action_measure = P::zero();
         let mut fact_at_action_measure = P::zero();
-        for run in pps.run_ids() {
-            let Some(point) = pps.action_point(agent, action, run) else {
-                continue;
-            };
+        pps.for_each_action_point(agent, action, |point| {
             let cell = pps
                 .cell_at(agent, point)
                 .expect("action point lies within the run");
             let belief = cell_beliefs
                 .entry(cell)
-                .or_insert_with(|| pps.belief_in_cell(fact, cell))
+                .or_insert_with(|| {
+                    action_cells.push(cell);
+                    pps.belief_in_cell(fact, cell)
+                })
                 .clone();
-            let prob = pps.run_probability(run).clone();
+            let prob = pps.run_probability(point.run).clone();
             let fact_holds = fact.holds(pps, point);
             action_measure.add_assign(&prob);
             if fact_holds {
                 fact_at_action_measure.add_assign(&prob);
             }
             per_run.push(RunBelief {
-                run,
+                run: point.run,
                 prob,
                 belief,
                 fact_holds,
                 point,
             });
-        }
+        })?;
 
         Ok(ActionAnalysis {
             agent,
@@ -239,7 +221,7 @@ impl<P: Probability> ActionAnalysis<P> {
             action_measure,
             fact_at_action_measure,
             per_run,
-            action_cells: pps.action_cells(agent, action),
+            action_cells,
         })
     }
 
@@ -602,6 +584,8 @@ mod tests {
         assert_eq!(a.fact_label(), "⊤");
         assert_eq!(a.action_measure(), &r(1, 2));
         assert_eq!(a.runs().len(), 1);
+        // L_i[α] is the merged time-0 cell, where the mixed choice is made.
         assert_eq!(a.action_cells().len(), 1);
+        assert_eq!(pps.cell(a.action_cells()[0]).time, 0);
     }
 }

@@ -17,7 +17,8 @@
 //!   ([`Facts::is_deterministic_action`](crate::fact::Facts)), or
 //! * `ϕ` is past-based ([`Facts::is_past_based`](crate::fact::Facts)).
 
-use crate::fact::{AndFact, DoesFact, Fact, Facts};
+use crate::event::RunSet;
+use crate::fact::{Fact, Facts};
 use crate::ids::{ActionId, AgentId, CellId};
 use crate::pps::Pps;
 use crate::prob::Probability;
@@ -41,6 +42,8 @@ pub struct IndependenceReport<P> {
 /// All local states of the agent are examined (the definition quantifies
 /// over `L_i`, not just `L_i[α]`; for cells where the action is never
 /// performed both sides are zero, so only performing cells can violate).
+/// The three ratios per cell are [`Pps::conditional`]s given `ℓ`, so an
+/// exact system reads them from its mass column.
 ///
 /// # Examples
 ///
@@ -75,11 +78,13 @@ pub fn check_local_state_independence<G: GlobalState, P: Probability>(
         let phi_at_l = pps.fact_at_cell(fact, cell_id);
         let alpha_at_l = pps.action_at_cell(action, cell_id);
         let both_at_l = phi_at_l.intersection(&alpha_at_l);
-        let ml = pps.measure(l);
-        // µ(ℓ) > 0 always holds in a pps.
-        let p_phi = pps.measure(&phi_at_l).div(&ml);
-        let p_alpha = pps.measure(&alpha_at_l).div(&ml);
-        let p_both = pps.measure(&both_at_l).div(&ml);
+        let given_l = |event: &RunSet| {
+            pps.conditional(event, l)
+                .expect("every local state in a pps has positive measure")
+        };
+        let p_phi = given_l(&phi_at_l);
+        let p_alpha = given_l(&alpha_at_l);
+        let p_both = given_l(&both_at_l);
         let lhs = p_phi.mul(&p_alpha);
         if !lhs.approx_eq(&p_both) {
             return IndependenceReport {
@@ -138,21 +143,10 @@ pub fn check_lemma43<G: GlobalState, P: Probability>(
     }
 }
 
-/// Checks the conjunction fact `[ϕ ∧ does_i(α)]` used in the definition —
-/// exposed for tests and diagnostics.
-#[must_use]
-pub fn conjunction_with_action<G: GlobalState, P: Probability>(
-    fact: impl Fact<G, P>,
-    agent: AgentId,
-    action: ActionId,
-) -> AndFact<impl Fact<G, P>, DoesFact> {
-    AndFact(fact, DoesFact::new(agent, action))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fact::{NotFact, StateFact};
+    use crate::fact::{DoesFact, NotFact, StateFact};
     use crate::pps::PpsBuilder;
     use crate::state::SimpleState;
     use pak_num::Rational;
@@ -273,12 +267,5 @@ mod tests {
         let rep = check_local_state_independence(&pps, &top, AgentId(0), ActionId(0));
         // Agent 0 has 3 cells: merged t=0, and two t=1 singletons.
         assert_eq!(rep.cells_checked, 3);
-    }
-
-    #[test]
-    fn conjunction_helper_labels() {
-        let f = StateFact::<SimpleState>::new("x", |_| true);
-        let c = conjunction_with_action::<SimpleState, Rational>(f, AgentId(0), ActionId(1));
-        assert!(Fact::<SimpleState, Rational>::label(&c).contains("∧"));
     }
 }

@@ -12,7 +12,7 @@
 //!   — [`belief`], with [`belief::ActionAnalysis`] bundling every quantity
 //!   the paper derives for an `(agent, action, fact)` triple.
 //! * **Probabilistic constraints** (Definition 3.2): `µ_T(ϕ@α | α) ≥ p` —
-//!   [`constraint`].
+//!   [`belief::ActionAnalysis::satisfies_constraint`].
 //! * **Local-state independence** (Definition 4.1) and Lemma 4.3's
 //!   sufficient conditions — [`independence`].
 //! * **The theorems** (§§4–7): sufficiency, necessity, the expectation
@@ -52,7 +52,6 @@
 
 pub mod belief;
 pub mod cancel;
-pub mod constraint;
 pub mod error;
 pub mod event;
 pub mod fact;
@@ -68,7 +67,6 @@ pub mod prob;
 pub mod state;
 pub mod theorems;
 pub mod trace;
-pub mod viz;
 
 /// Convenient glob-import of the most commonly used items.
 ///
@@ -77,7 +75,6 @@ pub mod viz;
 /// ```
 pub mod prelude {
     pub use crate::belief::{ActionAnalysis, Beliefs, FrontierEntry, RunBelief};
-    pub use crate::constraint::{ConstraintEvaluation, ProbabilisticConstraint};
     pub use crate::error::{AnalysisError, PpsError};
     pub use crate::event::RunSet;
     pub use crate::fact::{
@@ -90,7 +87,7 @@ pub mod prelude {
     pub use crate::intern::{LocalPool, StatePool};
     pub use crate::pps::{Cell, Pps, PpsBuilder, PpsExtender};
     pub use crate::prob::Probability;
-    pub use crate::state::{GlobalState, LocalState, SimpleState};
+    pub use crate::state::{GlobalState, SimpleState};
     pub use crate::theorems::{
         check_expectation, check_kop_limit, check_necessity, check_pak, check_pak_corollary,
         check_sufficiency, pak_frontier,

@@ -56,14 +56,14 @@
 use std::collections::HashMap;
 use std::sync::OnceLock;
 
-use crate::error::PpsError;
+use crate::error::{AnalysisError, PpsError};
 use crate::event::RunSet;
 use crate::hash::FxBuildHasher;
 use crate::ids::{ActionId, AgentId, CellId, LocalId, NodeId, Point, RunId, StateId, Time};
 use crate::intern::{LocalPool, StatePool};
 use crate::mass::MassColumn;
 use crate::prob::Probability;
-use crate::state::{GlobalState, LocalState};
+use crate::state::GlobalState;
 
 /// The nodes of a pps tree in struct-of-arrays layout — the exact
 /// representation the builder accumulates, moved into the [`Pps`]
@@ -213,6 +213,10 @@ fn build_child_arena(parents: &[NodeId]) -> (Vec<NodeId>, Vec<u32>) {
 
 /// A local-state equivalence cell: all the points agent `agent` cannot
 /// distinguish because its (synchronous) local state is the same.
+///
+/// A cell is one local state `ℓ`: its identity is the triple of agent,
+/// time and local data, and because the time is a component, `ℓ` occurs
+/// at most once per run, which is what makes `ϕ@ℓ` well defined (§3).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Cell<L> {
     /// The agent whose information set this is.
@@ -728,29 +732,59 @@ impl<G: GlobalState, P: Probability> Pps<G, P> {
         })
     }
 
-    /// The number of times `agent` performs `action` in `run`, without
-    /// materialising the time list.
-    pub(crate) fn performance_count(&self, agent: AgentId, action: ActionId, run: RunId) -> usize {
-        self.nodes_of(run)
-            .iter()
-            .skip(1)
-            .filter(|&&nid| self.edge_performs(nid, agent, action))
-            .count()
-    }
-
     /// Returns `true` if `action` is a *proper* action for `agent` (§3.1):
     /// performed at least once in the system and at most once per run.
     #[must_use]
     pub fn is_proper(&self, agent: AgentId, action: ActionId) -> bool {
+        self.for_each_action_point(agent, action, |_| {}).is_ok()
+    }
+
+    /// Walks every run once, in ascending run order, and hands `visit` the
+    /// point at which `agent` performs `action` in each run that performs
+    /// it — the one definition of properness (§3.1) behind
+    /// [`Pps::is_proper`] and [`crate::belief::ActionAnalysis::new`].
+    ///
+    /// # Errors
+    ///
+    /// [`AnalysisError::ImproperAction`] as soon as a run performs the
+    /// action twice (`visit` has then seen only earlier runs), or, after
+    /// the walk, if no run performs it.
+    pub(crate) fn for_each_action_point(
+        &self,
+        agent: AgentId,
+        action: ActionId,
+        mut visit: impl FnMut(Point),
+    ) -> Result<(), AnalysisError> {
+        let improper = |never_performed| AnalysisError::ImproperAction {
+            agent,
+            action,
+            never_performed,
+        };
         let mut performed = false;
         for run in self.run_ids() {
-            match self.performance_count(agent, action, run) {
-                0 => {}
-                1 => performed = true,
-                _ => return false,
+            // Performing at time t labels the edge into the node at t + 1.
+            let mut edges = self
+                .nodes_of(run)
+                .iter()
+                .skip(1)
+                .map(|&nid| self.edge_performs(nid, agent, action));
+            let Some(time) = edges.position(|performs| performs) else {
+                continue;
+            };
+            if edges.any(|performs| performs) {
+                return Err(improper(false));
             }
+            performed = true;
+            visit(Point {
+                run,
+                time: time as Time,
+            });
         }
-        performed
+        if performed {
+            Ok(())
+        } else {
+            Err(improper(true))
+        }
     }
 
     /// For a proper action, the unique point of `run` at which `agent`
@@ -896,19 +930,6 @@ impl<G: GlobalState, P: Probability> Pps<G, P> {
         Some(CellId(self.first_cell[agent.index()] + local.0))
     }
 
-    /// The full (synchronous) local state of `agent` at `point`.
-    ///
-    /// Returns `None` if the run has ended before `point.time`.
-    #[must_use]
-    pub fn local_state(&self, agent: AgentId, point: Point) -> Option<LocalState<G::Local>> {
-        let state = self.state_at(point)?;
-        Some(LocalState {
-            agent,
-            time: point.time,
-            data: state.local(agent),
-        })
-    }
-
     /// The points of a cell: for each run in which the local state occurs,
     /// the unique point of that run realising it.
     pub fn cell_points<'a>(&'a self, cell: &'a Cell<G::Local>) -> impl Iterator<Item = Point> + 'a {
@@ -927,24 +948,6 @@ impl<G: GlobalState, P: Probability> Pps<G, P> {
             (Some(ca), Some(cb)) => ca == cb,
             _ => false,
         }
-    }
-
-    /// The set of local states `L_i[α]` at which `agent` ever performs
-    /// `action`, as cell ids.
-    #[must_use]
-    pub fn action_cells(&self, agent: AgentId, action: ActionId) -> Vec<CellId> {
-        let mut out: Vec<CellId> = Vec::new();
-        for run in self.run_ids() {
-            for t in self.performance_times(agent, action, run) {
-                let cell = self
-                    .cell_at(agent, Point { run, time: t })
-                    .expect("performance point exists");
-                if !out.contains(&cell) {
-                    out.push(cell);
-                }
-            }
-        }
-        out
     }
 
     // ------------------------------------------------------------------
@@ -2254,14 +2257,6 @@ mod tests {
             time: 1,
         };
         assert!(!pps.indistinguishable(AgentId(0), a1, b1));
-    }
-
-    #[test]
-    fn action_cells_of_figure1() {
-        let pps = figure1();
-        let cells = pps.action_cells(AgentId(0), ActionId(0));
-        assert_eq!(cells.len(), 1);
-        assert_eq!(pps.cell(cells[0]).time, 0);
     }
 
     #[test]

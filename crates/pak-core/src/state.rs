@@ -9,7 +9,8 @@
 //! state to contain the current time (`time_i`). Rather than trusting user
 //! state types to include it, the library always pairs an agent's local data
 //! with the tree depth when forming local-state identity (see
-//! [`LocalState`]), so two points at different times are never confused.
+//! [`Cell`](crate::pps::Cell)), so two points at different times are never
+//! confused.
 //!
 //! **States are stored interned**: a [`Pps`](crate::pps::Pps) keeps each
 //! distinct global state once in a [`StatePool`](crate::intern::StatePool)
@@ -20,7 +21,7 @@
 use core::fmt;
 use core::hash::Hash;
 
-use crate::ids::{AgentId, Time};
+use crate::ids::AgentId;
 
 /// A global state of a distributed system.
 ///
@@ -61,29 +62,6 @@ pub trait GlobalState: Clone + Eq + Hash + fmt::Debug + Send + Sync + 'static {
     ///
     /// Implementations may panic if `agent` is out of range for the system.
     fn local(&self, agent: AgentId) -> Self::Local;
-}
-
-/// An agent's full (synchronous) local state: the pair of the current time
-/// and the agent-local data.
-///
-/// Equality of `LocalState` values is exactly the paper's "same local state"
-/// relation: because the time is a component, a local state can occur at
-/// most once per run, which is what makes the `ϕ@ℓ` notation well defined
-/// (§3).
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct LocalState<L> {
-    /// The agent whose local state this is.
-    pub agent: AgentId,
-    /// The current time (always known to the agent in a synchronous system).
-    pub time: Time,
-    /// The agent-local data.
-    pub data: L,
-}
-
-impl<L: fmt::Debug> fmt::Display for LocalState<L> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "⟨{} @t={}: {:?}⟩", self.agent, self.time, self.data)
-    }
 }
 
 /// A straightforward global state: one `u64` of local data per agent plus an
@@ -180,48 +158,9 @@ mod tests {
     }
 
     #[test]
-    fn local_state_identity_includes_time() {
-        let a = LocalState {
-            agent: AgentId(0),
-            time: 1,
-            data: 7u64,
-        };
-        let b = LocalState {
-            agent: AgentId(0),
-            time: 2,
-            data: 7u64,
-        };
-        assert_ne!(
-            a, b,
-            "same data at different times must be distinct local states"
-        );
-    }
-
-    #[test]
-    fn local_state_identity_includes_agent() {
-        let a = LocalState {
-            agent: AgentId(0),
-            time: 1,
-            data: 7u64,
-        };
-        let b = LocalState {
-            agent: AgentId(1),
-            time: 1,
-            data: 7u64,
-        };
-        assert_ne!(a, b);
-    }
-
-    #[test]
     fn display_forms() {
         let g = SimpleState::new(0, vec![1]);
         assert!(g.to_string().contains("env=0"));
-        let l = LocalState {
-            agent: AgentId(0),
-            time: 3,
-            data: 1u64,
-        };
-        assert!(l.to_string().contains("t=3"));
     }
 
     #[test]

@@ -29,6 +29,19 @@ use crate::pps::Pps;
 use crate::prob::Probability;
 use crate::state::GlobalState;
 
+/// The prologue every check shares: the triple's analysis, which
+/// rejects an improper action, and its Definition 4.1 report.
+fn analyse<G: GlobalState, P: Probability>(
+    pps: &Pps<G, P>,
+    agent: AgentId,
+    action: ActionId,
+    fact: &dyn Fact<G, P>,
+) -> Result<(ActionAnalysis<P>, IndependenceReport<P>), AnalysisError> {
+    let analysis = ActionAnalysis::new(pps, agent, action, fact)?;
+    let independence = check_local_state_independence(pps, fact, agent, action);
+    Ok((analysis, independence))
+}
+
 /// Report of a Theorem 4.2 check: if `β_i(ϕ) ≥ p` whenever `i` performs
 /// `α`, and `ϕ` is local-state independent of `α`, then `µ(ϕ@α | α) ≥ p`.
 #[derive(Debug, Clone)]
@@ -59,8 +72,8 @@ pub fn check_sufficiency<G: GlobalState, P: Probability>(
     fact: &dyn Fact<G, P>,
     p: &P,
 ) -> Result<SufficiencyReport<P>, AnalysisError> {
-    let analysis = ActionAnalysis::new(pps, agent, action, fact)?;
-    let independent = check_local_state_independence(pps, fact, agent, action).independent;
+    let (analysis, independence) = analyse(pps, agent, action, fact)?;
+    let independent = independence.independent;
     let min_belief = analysis
         .min_belief_when_acting()
         .expect("proper actions are performed at least once");
@@ -104,8 +117,8 @@ pub fn check_necessity<G: GlobalState, P: Probability>(
     fact: &dyn Fact<G, P>,
     p: &P,
 ) -> Result<NecessityReport<P>, AnalysisError> {
-    let analysis = ActionAnalysis::new(pps, agent, action, fact)?;
-    let independent = check_local_state_independence(pps, fact, agent, action).independent;
+    let (analysis, independence) = analyse(pps, agent, action, fact)?;
+    let independent = independence.independent;
     let constraint_probability = analysis.constraint_probability();
     let max_belief = analysis
         .max_belief_when_acting()
@@ -183,8 +196,7 @@ pub fn check_expectation<G: GlobalState, P: Probability>(
     action: ActionId,
     fact: &dyn Fact<G, P>,
 ) -> Result<ExpectationReport<P>, AnalysisError> {
-    let analysis = ActionAnalysis::new(pps, agent, action, fact)?;
-    let independence = check_local_state_independence(pps, fact, agent, action);
+    let (analysis, independence) = analyse(pps, agent, action, fact)?;
     let lhs = analysis.constraint_probability();
     let rhs = analysis.expected_belief();
     let equal = lhs.approx_eq(&rhs);
@@ -230,8 +242,8 @@ pub fn check_pak<G: GlobalState, P: Probability>(
     delta: &P,
     eps: &P,
 ) -> Result<PakReport<P>, AnalysisError> {
-    let analysis = ActionAnalysis::new(pps, agent, action, fact)?;
-    let independent = check_local_state_independence(pps, fact, agent, action).independent;
+    let (analysis, independence) = analyse(pps, agent, action, fact)?;
+    let independent = independence.independent;
     let constraint_probability = analysis.constraint_probability();
     let premise_threshold = delta.mul(eps).one_minus();
     let premise_holds = independent && constraint_probability.at_least(&premise_threshold);
@@ -292,8 +304,8 @@ pub fn check_kop_limit<G: GlobalState, P: Probability>(
     action: ActionId,
     fact: &dyn Fact<G, P>,
 ) -> Result<KopLimitReport<P>, AnalysisError> {
-    let analysis = ActionAnalysis::new(pps, agent, action, fact)?;
-    let independent = check_local_state_independence(pps, fact, agent, action).independent;
+    let (analysis, independence) = analyse(pps, agent, action, fact)?;
+    let independent = independence.independent;
     let constraint_probability = analysis.constraint_probability();
     let certainty_measure = analysis.threshold_measure(&P::one());
     let premise = independent && constraint_probability.is_one();

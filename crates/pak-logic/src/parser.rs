@@ -23,8 +23,10 @@
 //! [`Fact`]s.
 //!
 //! The parser is a recursive descent, so nesting is capped at
-//! [`MAX_NESTING`] levels: deeper input is rejected with a positioned
-//! [`ParseFormulaError`] instead of overflowing the stack.
+//! [`MAX_NESTING`] levels, and a formula may hold at most
+//! [`MAX_BINARY_OPERATORS`] binary operators: input past either cap is
+//! rejected with a positioned [`ParseFormulaError`] instead of
+//! overflowing the stack.
 //!
 //! # Examples
 //!
@@ -61,6 +63,14 @@ use crate::formula::Formula;
 /// of stack in an unoptimised build, so this cap keeps a parse well
 /// inside a 2 MiB thread stack.
 pub const MAX_NESTING: usize = 64;
+
+/// The most binary operators (`&`, `|`, `->`) one formula may have. A
+/// chain of `&` or `|` adds no nesting level, yet it builds a formula as
+/// deep as it is long, and dropping or evaluating that formula recurses
+/// once per operator. This cap keeps a formula at the cap droppable and
+/// evaluable on a 2 MiB thread stack in an unoptimised build; one more
+/// operator is an error.
+pub const MAX_BINARY_OPERATORS: usize = 1024;
 
 /// The outcome of parsing one (sub)formula.
 type Parsed<G, P> = Result<Formula<G, P>, ParseFormulaError>;
@@ -123,6 +133,7 @@ impl<G: GlobalState, P: Probability> FormulaParser<G, P> {
             input,
             pos: 0,
             depth: 0,
+            binary_operators: 0,
         };
         let f = self.parse_implies(&mut cursor)?;
         cursor.skip_ws();
@@ -135,7 +146,7 @@ impl<G: GlobalState, P: Probability> FormulaParser<G, P> {
     fn parse_implies(&self, c: &mut Cursor<'_>) -> Result<Formula<G, P>, ParseFormulaError> {
         let lhs = self.parse_or(c)?;
         c.skip_ws();
-        if c.eat("->") {
+        if c.eat_binary("->")? {
             let rhs = self.nested(c, Self::parse_implies)?;
             return Ok(lhs.implies(rhs));
         }
@@ -146,7 +157,7 @@ impl<G: GlobalState, P: Probability> FormulaParser<G, P> {
         let mut acc = self.parse_and(c)?;
         loop {
             c.skip_ws();
-            if c.eat("|") {
+            if c.eat_binary("|")? {
                 let rhs = self.parse_and(c)?;
                 acc = acc.or(rhs);
             } else {
@@ -159,7 +170,7 @@ impl<G: GlobalState, P: Probability> FormulaParser<G, P> {
         let mut acc = self.parse_unary(c)?;
         loop {
             c.skip_ws();
-            if c.eat("&") {
+            if c.eat_binary("&")? {
                 let rhs = self.parse_unary(c)?;
                 acc = acc.and(rhs);
             } else {
@@ -275,6 +286,8 @@ struct Cursor<'a> {
     pos: usize,
     /// Operands currently open around the cursor (see [`MAX_NESTING`]).
     depth: usize,
+    /// Binary operators read so far (see [`MAX_BINARY_OPERATORS`]).
+    binary_operators: usize,
 }
 
 impl Cursor<'_> {
@@ -296,6 +309,21 @@ impl Cursor<'_> {
         } else {
             false
         }
+    }
+
+    /// Eats the binary operator `token`, counting it against
+    /// [`MAX_BINARY_OPERATORS`].
+    fn eat_binary(&mut self, token: &str) -> Result<bool, ParseFormulaError> {
+        if !self.eat(token) {
+            return Ok(false);
+        }
+        if self.binary_operators == MAX_BINARY_OPERATORS {
+            return Err(self.error(&format!(
+                "formula has more than {MAX_BINARY_OPERATORS} binary operators"
+            )));
+        }
+        self.binary_operators += 1;
+        Ok(true)
     }
 
     fn advance(&mut self, bytes: usize) {

@@ -2,7 +2,9 @@
 //! paper's systems and theorems.
 
 use pak::core::prelude::*;
-use pak::logic::{Formula, ModelChecker};
+use pak::engine::Evaluator;
+use pak::logic::parser::MAX_BINARY_OPERATORS;
+use pak::logic::{Formula, FormulaParser, ModelChecker};
 use pak::num::Rational;
 use pak::protocol::generator::{random_pps, RandomModelConfig};
 use pak::systems::firing_squad::{FiringSquad, FsLocal, Reply, ALICE, BOB, FIRE_A, FIRE_B};
@@ -144,4 +146,41 @@ fn formulas_compose_with_action_analysis() {
     let analysis = ActionAnalysis::new(sys.pps(), ALICE, FIRE_A, &bob_knows_go).unwrap();
     // Alice fires ⇔ go = 1; Bob knows go = 1 iff he heard (0.99).
     assert_eq!(analysis.constraint_probability(), r(99, 100));
+}
+
+/// An `&` chain adds no nesting level, yet it builds a formula as deep as
+/// it is long. Past `MAX_BINARY_OPERATORS` the parser refuses the chain
+/// with a positioned error; at the cap the formula parses, evaluates and
+/// drops on a 2 MiB thread, the stack a `pak-server` worker runs on.
+#[test]
+fn binary_operator_chains_are_capped() {
+    let mut parser = FormulaParser::<SimpleState, Rational>::new();
+    parser.atom(
+        "heads",
+        StateFact::new("heads", |g: &SimpleState| g.env == 1),
+    );
+    let chain = |terms: usize| vec!["heads"; terms].join(" & ");
+
+    let err = parser.parse(&chain(1_000_000)).unwrap_err();
+    assert!(err.message.contains("binary operators"), "{err}");
+    // The error sits just past the first `&` over the cap.
+    let term = "heads & ".len();
+    assert_eq!(err.position, MAX_BINARY_OPERATORS * term + "heads &".len());
+
+    let at_cap = parser.parse(&chain(MAX_BINARY_OPERATORS + 1)).unwrap();
+    let mut b = PpsBuilder::<SimpleState, Rational>::new(1);
+    b.initial(SimpleState::new(1, vec![0]), r(1, 2)).unwrap();
+    b.initial(SimpleState::new(0, vec![0]), r(1, 2)).unwrap();
+    let pps = b.build().unwrap();
+    std::thread::Builder::new()
+        .stack_size(2 << 20)
+        .spawn(move || {
+            let verdict = Evaluator::new(&pps).evaluate(&at_cap);
+            assert!(verdict.satisfiable && !verdict.valid);
+            assert_eq!(verdict.satisfying_points, 1);
+            drop(at_cap);
+        })
+        .unwrap()
+        .join()
+        .unwrap();
 }

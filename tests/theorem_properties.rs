@@ -14,16 +14,22 @@
 //!   their precise implication form: whenever Definition 4.1 holds, the
 //!   conclusion must hold.
 //!
+//! Both sweeps also check `ActionAnalysis` and the Definition 4.1 check
+//! differentially, over `Rational` and over `f64`, against a test-local
+//! reference that walks each run three times and sums `Pps::measure`
+//! folds (see [`assert_matches_reference`]).
+//!
 //! The case grids are deterministic (fixed seed strides, no external
 //! property-testing dependency), so every failure replays exactly.
 
 use pak::core::generator::{GeneratorConfig, PpsGenerator};
+use pak::core::independence::IndependenceReport;
 use pak::core::prelude::*;
 use pak::num::Rational;
 use pak::protocol::generator::{random_pps, RandomModelConfig};
 
 /// All (agent, action) pairs appearing in a system.
-fn all_actions(pps: &Pps<SimpleState, Rational>) -> Vec<(AgentId, ActionId)> {
+fn all_actions<P: Probability>(pps: &Pps<SimpleState, P>) -> Vec<(AgentId, ActionId)> {
     let mut out: Vec<(AgentId, ActionId)> = Vec::new();
     for run in pps.run_ids() {
         for t in 0..pps.run_len(run) as u32 {
@@ -38,11 +44,11 @@ fn all_actions(pps: &Pps<SimpleState, Rational>) -> Vec<(AgentId, ActionId)> {
 }
 
 /// Makes an action proper by occurrence tagging if needed.
-fn properized(
-    pps: &Pps<SimpleState, Rational>,
+fn properized<P: Probability>(
+    pps: &Pps<SimpleState, P>,
     agent: AgentId,
     action: ActionId,
-) -> (Pps<SimpleState, Rational>, ActionId) {
+) -> (Pps<SimpleState, P>, ActionId) {
     if pps.is_proper(agent, action) {
         (pps.clone(), action)
     } else {
@@ -93,6 +99,207 @@ fn cases(n: u64, range: u64) -> impl Iterator<Item = (u64, u8)> {
 }
 
 // ======================================================================
+// Differential reference: the analysis as three walks and measure folds.
+// ======================================================================
+
+/// Equality that is exact for both numeric types: `==` for `Rational`,
+/// bit equality for `f64`.
+trait Exact: Probability {
+    fn same(&self, other: &Self) -> bool;
+}
+
+impl Exact for Rational {
+    fn same(&self, other: &Self) -> bool {
+        self == other
+    }
+}
+
+impl Exact for f64 {
+    fn same(&self, other: &Self) -> bool {
+        self.to_bits() == other.to_bits()
+    }
+}
+
+/// The reference `ActionAnalysis`: `(per-run records, L_i[α], µ(R_α),
+/// µ(ϕ@α))`.
+type ReferenceAnalysis<P> = (Vec<RunBelief<P>>, Vec<CellId>, P, P);
+
+/// `ActionAnalysis::new` as three walks over the runs: one counting
+/// performances, one collecting per-run beliefs, one collecting `L_i[α]`
+/// in first-seen order.
+fn reference_analysis<P: Probability>(
+    pps: &Pps<SimpleState, P>,
+    agent: AgentId,
+    action: ActionId,
+    fact: &dyn Fact<SimpleState, P>,
+) -> Result<ReferenceAnalysis<P>, AnalysisError> {
+    let improper = |never_performed| AnalysisError::ImproperAction {
+        agent,
+        action,
+        never_performed,
+    };
+    let mut performed = false;
+    for run in pps.run_ids() {
+        match pps.performance_times(agent, action, run).len() {
+            0 => {}
+            1 => performed = true,
+            _ => return Err(improper(false)),
+        }
+    }
+    if !performed {
+        return Err(improper(true));
+    }
+    let (mut runs, mut action_measure, mut fact_measure) = (Vec::new(), P::zero(), P::zero());
+    for run in pps.run_ids() {
+        let Some(point) = pps.action_point(agent, action, run) else {
+            continue;
+        };
+        let cell = pps.cell_at(agent, point).unwrap();
+        let prob = pps.run_probability(run).clone();
+        let fact_holds = fact.holds(pps, point);
+        action_measure.add_assign(&prob);
+        if fact_holds {
+            fact_measure.add_assign(&prob);
+        }
+        runs.push(RunBelief {
+            run,
+            prob,
+            belief: pps.belief_in_cell(fact, cell),
+            fact_holds,
+            point,
+        });
+    }
+    let mut cells = Vec::new();
+    for run in pps.run_ids() {
+        for time in pps.performance_times(agent, action, run) {
+            let cell = pps.cell_at(agent, Point { run, time }).unwrap();
+            if !cells.contains(&cell) {
+                cells.push(cell);
+            }
+        }
+    }
+    Ok((runs, cells, action_measure, fact_measure))
+}
+
+/// Definition 4.1 with four `Pps::measure` folds and three divisions per
+/// cell.
+fn reference_independence<P: Probability>(
+    pps: &Pps<SimpleState, P>,
+    fact: &dyn Fact<SimpleState, P>,
+    agent: AgentId,
+    action: ActionId,
+) -> IndependenceReport<P> {
+    let mut cells_checked = 0;
+    for (cell, _) in pps.agent_cells(agent) {
+        cells_checked += 1;
+        let phi_at_l = pps.fact_at_cell(fact, cell);
+        let alpha_at_l = pps.action_at_cell(action, cell);
+        let both_at_l = phi_at_l.intersection(&alpha_at_l);
+        let ml = pps.measure(pps.cell_runs(cell));
+        let p_phi = pps.measure(&phi_at_l).div(&ml);
+        let p_alpha = pps.measure(&alpha_at_l).div(&ml);
+        let p_both = pps.measure(&both_at_l).div(&ml);
+        let lhs = p_phi.mul(&p_alpha);
+        if !lhs.approx_eq(&p_both) {
+            return IndependenceReport {
+                independent: false,
+                violation: Some((cell, lhs, p_both)),
+                cells_checked,
+            };
+        }
+    }
+    IndependenceReport {
+        independent: true,
+        violation: None,
+        cells_checked,
+    }
+}
+
+/// What a differential sweep met, so it can assert it met every branch.
+#[derive(Default)]
+struct Coverage {
+    proper: usize,
+    never_performed: usize,
+    performed_twice: usize,
+    violations: usize,
+}
+
+/// Asserts that `ActionAnalysis::new` and `check_local_state_independence`
+/// agree exactly with the references on one triple.
+fn assert_matches_reference<P: Exact>(
+    pps: &Pps<SimpleState, P>,
+    agent: AgentId,
+    action: ActionId,
+    fact: &dyn Fact<SimpleState, P>,
+    seen: &mut Coverage,
+) {
+    let want = reference_independence(pps, fact, agent, action);
+    let got = check_local_state_independence(pps, fact, agent, action);
+    assert_eq!(got.independent, want.independent);
+    assert_eq!(got.cells_checked, want.cells_checked);
+    match (&got.violation, &want.violation) {
+        (None, None) => {}
+        (Some((c, lhs, rhs)), Some((wc, wlhs, wrhs))) => {
+            assert_eq!(c, wc);
+            assert!(
+                lhs.same(wlhs) && rhs.same(wrhs),
+                "{lhs} {rhs} vs {wlhs} {wrhs}"
+            );
+            seen.violations += 1;
+        }
+        (got, want) => panic!("violation {got:?}, reference {want:?}"),
+    }
+
+    match (
+        ActionAnalysis::new(pps, agent, action, fact),
+        reference_analysis(pps, agent, action, fact),
+    ) {
+        (Ok(a), Ok((runs, cells, action_measure, fact_measure))) => {
+            assert_eq!(a.action_cells(), &cells[..]);
+            assert!(a.action_measure().same(&action_measure));
+            assert!(a
+                .constraint_probability()
+                .same(&fact_measure.div(&action_measure)));
+            assert_eq!(a.runs().len(), runs.len());
+            for (rb, want) in a.runs().iter().zip(&runs) {
+                assert_eq!(
+                    (rb.run, rb.point, rb.fact_holds),
+                    (want.run, want.point, want.fact_holds)
+                );
+                assert!(rb.prob.same(&want.prob) && rb.belief.same(&want.belief));
+            }
+            seen.proper += 1;
+        }
+        (Err(e), Err(want)) => {
+            assert_eq!(e, want);
+            match e {
+                AnalysisError::ImproperAction {
+                    never_performed: true,
+                    ..
+                } => seen.never_performed += 1,
+                _ => seen.performed_twice += 1,
+            }
+        }
+        (got, want) => panic!("analysis {:?}, reference {:?}", got.err(), want.err()),
+    }
+}
+
+/// Runs the differential check on every action of `pps`, untagged and
+/// tagged, and on one action nobody performs.
+fn sweep_against_reference<P: Exact>(
+    pps: &Pps<SimpleState, P>,
+    fact: &StateFact<SimpleState>,
+    seen: &mut Coverage,
+) {
+    for (agent, action) in all_actions(pps) {
+        assert_matches_reference(pps, agent, action, fact, seen);
+        let (sys, act) = properized(pps, agent, action);
+        assert_matches_reference(&sys, agent, act, fact, seen);
+    }
+    assert_matches_reference(pps, AgentId(0), ActionId(999), fact, seen);
+}
+
+// ======================================================================
 // Protocol-consistent systems: the paper's class, non-vacuous checks.
 // ======================================================================
 
@@ -101,10 +308,14 @@ fn cases(n: u64, range: u64) -> impl Iterator<Item = (u64, u8)> {
 /// expectation equality holds exactly.
 #[test]
 fn expectation_theorem_nonvacuous_on_protocol_systems() {
+    let mut seen = Coverage::default();
     for (seed, which) in cases(32, 400) {
         let pps = random_pps::<Rational>(seed, &protocol_config(seed)).unwrap();
         let fact = fact_for(which);
         assert!(pps.is_past_based(&fact));
+        sweep_against_reference(&pps, &fact, &mut seen);
+        let twin = random_pps::<f64>(seed, &protocol_config(seed)).unwrap();
+        sweep_against_reference(&twin, &fact, &mut seen);
         for (agent, action) in all_actions(&pps) {
             if !pps.is_proper(agent, action) {
                 continue; // tagged actions are exercised separately below
@@ -121,6 +332,7 @@ fn expectation_theorem_nonvacuous_on_protocol_systems() {
             );
         }
     }
+    assert!(seen.proper > 0 && seen.never_performed > 0);
 }
 
 /// Theorem 4.2, non-vacuous: with p = min belief when acting, the
@@ -228,10 +440,14 @@ fn kop_limit_on_protocol_systems() {
 /// generates.
 #[test]
 fn expectation_implication_on_raw_trees() {
+    let mut seen = Coverage::default();
     for (seed, which) in cases(32, 400) {
         let mut g = PpsGenerator::new(seed, raw_config(seed));
         let pps = g.generate::<Rational>();
         let fact = fact_for(which);
+        sweep_against_reference(&pps, &fact, &mut seen);
+        let twin = PpsGenerator::new(seed, raw_config(seed)).generate::<f64>();
+        sweep_against_reference(&twin, &fact, &mut seen);
         for (agent, action) in all_actions(&pps) {
             let (sys, act) = properized(&pps, agent, action);
             let rep = check_expectation(&sys, agent, act, &fact).unwrap();
@@ -243,6 +459,13 @@ fn expectation_implication_on_raw_trees() {
             );
         }
     }
+    let Coverage {
+        proper,
+        never_performed,
+        performed_twice,
+        violations,
+    } = seen;
+    assert!(proper > 0 && never_performed > 0 && performed_twice > 0 && violations > 0);
 }
 
 /// Theorems 4.2, 7.1 and Lemma F.1 in implication form on raw trees.
