@@ -1,6 +1,6 @@
 //! The abstract syntax tree of a protocol program.
 //!
-//! Every name and number the validator may complain about is wrapped in
+//! Every name and number the compiler may complain about is wrapped in
 //! [`Spanned`], which carries the source location but **compares by value
 //! only** — two parses of the same program are `==` even though their
 //! spans differ. That is exactly the equality the round-trip property
@@ -20,6 +20,7 @@
 //! ```
 
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 use crate::error::Span;
 
@@ -47,6 +48,12 @@ impl<T: PartialEq> PartialEq for Spanned<T> {
 }
 
 impl<T: Eq> Eq for Spanned<T> {}
+
+impl<T: Hash> Hash for Spanned<T> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.value.hash(state);
+    }
+}
 
 /// An exact rational weight `num/den` (a bare integer parses with
 /// `den = 1`). Weights are kept unreduced — `2/4` and `1/2` are distinct
@@ -90,7 +97,7 @@ pub struct StateDecl {
     pub name: Spanned<String>,
     /// The environment component.
     pub env: u64,
-    /// One local-data value per agent (arity checked by validation).
+    /// One local-data value per agent (arity checked by compilation).
     pub locals: Vec<u64>,
     /// Whether the state is annotated as a failure state.
     pub fail: bool,
@@ -192,7 +199,7 @@ pub struct Program {
     pub name: Spanned<String>,
     /// The agents, in declaration order (index = `AgentId`).
     pub agents: Vec<Spanned<String>>,
-    /// The horizon (`None` only for programs that fail validation).
+    /// The horizon (`None` only for programs that fail to compile).
     pub horizon: Option<Spanned<u64>>,
     /// Declared actions.
     pub actions: Vec<ActionDecl>,

@@ -1,5 +1,18 @@
-//! The compiler from a validated [`Program`] to a
-//! [`TableModel`].
+//! The compiler from a parsed [`Program`] to a [`TableModel`].
+//!
+//! Compilation is also where the program is checked for everything the
+//! grammar cannot express: names resolve, declarations are unique, tuple
+//! arities match the agent count, distributions have positive weights
+//! summing to exactly one (computed in exact rational arithmetic whatever
+//! the probability type, so `1/3 + 1/3 + 1/3` passes and `1/2 + 1/3`
+//! fails with the actual sum in the message), rule keys are unique, and
+//! rule times fall before the horizon. Each declared name is interned
+//! once, into the tables the [`CompiledProtocol`] keeps, and each
+//! reference is resolved once, where it is checked. The first violation
+//! is reported, spanned at the offending name or number, in this order:
+//! agents, horizon, actions, states, init, moves, transitions, then each
+//! adversary. A program that compiles always satisfies the unfolder's
+//! distribution contract ([`pak_protocol::model::validate_distribution`]).
 //!
 //! The mapping is direct, which is the point — a compiled protocol
 //! immediately inherits everything the table machinery already has:
@@ -44,20 +57,32 @@
 //! let pps = unfold::<_, Rational>(compiled.model()).unwrap();
 //! assert_eq!(pps.num_runs(), 2);
 //! assert_eq!(compiled.action("guess"), Some(ActionId(0)));
+//!
+//! // Errors point at the offending text.
+//! let err = compile_str::<Rational>(
+//!     "protocol p { agents a; horizon 1; state s = (0, 0); init { 1/2: s; 1/3: s; } }",
+//! )
+//! .unwrap_err();
+//! assert_eq!(err.to_string(), "line 1, column 60: distribution weights sum to 5/6, expected exactly 1");
 //! ```
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use pak_core::fact::StateFact;
+use pak_core::hash::FxBuildHasher;
 use pak_core::ids::{ActionId, AgentId, Time};
 use pak_core::prob::Probability;
 use pak_core::state::SimpleState;
+use pak_num::Rational;
 use pak_protocol::adversary::AdversaryFamily;
 use pak_protocol::model::{MovePattern, StateTransition, TableModel};
 
-use crate::ast::{GuardPat, MoveAction, Program, TransRule, Weight};
-use crate::error::DslError;
+use crate::ast::{GuardPat, MoveAction, Program, Spanned, TransRule, Weight};
+use crate::error::{DslError, DslErrorKind, Span};
 use crate::parser::parse;
+
+type Map<K, V> = HashMap<K, V, FxBuildHasher>;
+type Set<K> = HashSet<K, FxBuildHasher>;
 
 /// A compiled protocol: the [`TableModel`] plus the name tables needed to
 /// talk about it (action and agent names, failure states, adversary
@@ -65,9 +90,7 @@ use crate::parser::parse;
 #[derive(Debug, Clone)]
 pub struct CompiledProtocol<P> {
     name: String,
-    agents: Vec<String>,
-    actions: Vec<(String, ActionId)>,
-    states: Vec<(String, u64, Vec<u64>)>,
+    names: Names,
     failure_states: Vec<(u64, Vec<u64>)>,
     model: TableModel<P>,
     adversaries: Vec<(String, TableModel<P>)>,
@@ -95,29 +118,20 @@ impl<P: Probability> CompiledProtocol<P> {
     /// The [`ActionId`] an action name compiled to.
     #[must_use]
     pub fn action(&self, name: &str) -> Option<ActionId> {
-        self.actions
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, id)| *id)
+        self.names.actions.get(name).copied()
     }
 
     /// The [`AgentId`] an agent name compiled to (its position in the
     /// `agents` declaration).
     #[must_use]
     pub fn agent(&self, name: &str) -> Option<AgentId> {
-        self.agents
-            .iter()
-            .position(|n| n == name)
-            .map(|i| AgentId(u32::try_from(i).expect("validated agent count")))
+        self.names.agents.get(name).copied()
     }
 
     /// The [`SimpleState`] a state name compiled to.
     #[must_use]
     pub fn state(&self, name: &str) -> Option<SimpleState> {
-        self.states
-            .iter()
-            .find(|(n, _, _)| n == name)
-            .map(|(_, env, locals)| SimpleState::new(*env, locals.clone()))
+        self.names.states.get(name).cloned()
     }
 
     /// The `(env, locals)` tuples of all states annotated `fail`, in
@@ -165,166 +179,384 @@ impl<P: Probability> CompiledProtocol<P> {
     }
 }
 
+/// Names that double as keywords of the grammar: declaring an agent,
+/// action, state, or adversary under one of these would make it
+/// unreferenceable, so compilation rejects them.
+const RESERVED: &[&str] = &[
+    "protocol",
+    "agents",
+    "horizon",
+    "action",
+    "state",
+    "init",
+    "moves",
+    "transitions",
+    "adversary",
+    "at",
+    "from",
+    "when",
+    "skip",
+    "fail",
+];
+
+fn check_name(name: &Spanned<String>) -> Result<(), DslError> {
+    if RESERVED.contains(&name.value.as_str()) {
+        return Err(DslError::new(
+            name.span,
+            DslErrorKind::ReservedName(name.value.clone()),
+        ));
+    }
+    Ok(())
+}
+
+/// Checks that `weights` are all positive and sum to exactly one, in
+/// `Rational` whatever the model's probability type. The sum error
+/// anchors at the first weight, whose arm usually needs the adjustment,
+/// or at `owner` when there is none.
+fn check_distribution<'a>(
+    owner: Span,
+    weights: impl IntoIterator<Item = &'a Spanned<Weight>>,
+) -> Result<(), DslError> {
+    let mut sum = Rational::zero();
+    let mut anchor = None;
+    for w in weights {
+        if w.value.num == 0 {
+            return Err(DslError::new(w.span, DslErrorKind::ZeroWeight));
+        }
+        anchor.get_or_insert(w.span);
+        sum.add_assign(&<Rational as Probability>::from_ratio(
+            w.value.num,
+            w.value.den,
+        ));
+    }
+    if !sum.is_one() {
+        return Err(DslError::new(
+            anchor.unwrap_or(owner),
+            DslErrorKind::WeightSum(sum.to_string()),
+        ));
+    }
+    Ok(())
+}
+
+/// A rule time, checked to fall before the horizon.
+fn rule_time(time: &Spanned<u64>, horizon: Time) -> Result<Time, DslError> {
+    u32::try_from(time.value)
+        .ok()
+        .filter(|&t| t < horizon)
+        .ok_or_else(|| {
+            DslError::new(
+                time.span,
+                DslErrorKind::TimeBeyondHorizon {
+                    time: time.value,
+                    horizon: u64::from(horizon),
+                },
+            )
+        })
+}
+
 fn weight_prob<P: Probability>(w: Weight) -> P {
     P::from_ratio(w.num, w.den)
 }
 
-/// Compiles a parsed program, validating it first.
+/// The name tables: every reference resolves through them, and the
+/// compiled protocol keeps them for its name lookups.
+#[derive(Debug, Clone)]
+struct Names {
+    agents: Map<String, AgentId>,
+    actions: Map<String, ActionId>,
+    states: Map<String, SimpleState>,
+}
+
+impl Names {
+    fn action(&self, name: &str, span: Span) -> Result<ActionId, DslError> {
+        self.actions
+            .get(name)
+            .copied()
+            .ok_or_else(|| DslError::new(span, DslErrorKind::UnknownAction(name.to_string())))
+    }
+
+    fn state(&self, name: &Spanned<String>) -> Result<&SimpleState, DslError> {
+        self.states
+            .get(&name.value)
+            .ok_or_else(|| DslError::new(name.span, DslErrorKind::UnknownState(name.value.clone())))
+    }
+}
+
+/// What makes two transition rules of one block duplicates: the source
+/// state's name, the time, and the guard (spans ignored).
+type RuleKey<'a> = (&'a str, u64, Option<&'a [Spanned<GuardPat>]>);
+
+/// Checks and compiles one block of transition rules (the base
+/// `transitions` or one adversary's overrides). Each block keeps its own
+/// duplicate-key space: an adversary *shadowing* a base rule is the
+/// point.
+fn compile_rules<P: Probability>(
+    rules: &[TransRule],
+    names: &Names,
+    horizon: Time,
+) -> Result<Vec<StateTransition<P>>, DslError> {
+    let n_agents = names.agents.len();
+    let mut keys: Set<RuleKey<'_>> = Set::default();
+    let mut out = Vec::with_capacity(rules.len());
+    for rule in rules {
+        let from = names.state(&rule.from)?;
+        let time = rule_time(&rule.time, horizon)?;
+        let mut guard = Vec::new();
+        if let Some(pats) = &rule.guard {
+            if pats.len() != n_agents {
+                return Err(DslError::new(
+                    pats.first().map_or(rule.from.span, |p| p.span),
+                    DslErrorKind::ArityMismatch {
+                        expected: n_agents,
+                        found: pats.len(),
+                    },
+                ));
+            }
+            guard.reserve_exact(pats.len());
+            for p in pats {
+                guard.push(match &p.value {
+                    GuardPat::Any => MovePattern::Any,
+                    GuardPat::Skip => MovePattern::Skip,
+                    GuardPat::Named(name) => MovePattern::Do(names.action(name, p.span)?),
+                });
+            }
+        }
+        if !keys.insert((
+            rule.from.value.as_str(),
+            rule.time.value,
+            rule.guard.as_deref(),
+        )) {
+            let guard_note = if rule.guard.is_some() {
+                " with this guard"
+            } else {
+                ""
+            };
+            return Err(DslError::new(
+                rule.from.span,
+                DslErrorKind::DuplicateRule(format!(
+                    "`from {} at {}`{}",
+                    rule.from.value, rule.time.value, guard_note
+                )),
+            ));
+        }
+        let outcomes = rule
+            .dist
+            .iter()
+            .map(|arm| {
+                let to = names.state(&arm.state)?;
+                Ok((to.env, to.locals.clone(), weight_prob(arm.weight.value)))
+            })
+            .collect::<Result<Vec<_>, DslError>>()?;
+        check_distribution(rule.from.span, rule.dist.iter().map(|a| &a.weight))?;
+        out.push(StateTransition {
+            env: from.env,
+            locals: from.locals.clone(),
+            time,
+            guard,
+            outcomes,
+        });
+    }
+    Ok(out)
+}
+
+/// Checks a parsed program and compiles it (see the module docs for the
+/// checks and their order).
 ///
 /// # Errors
 ///
-/// Returns the first validation error (compilation itself cannot fail on a
-/// validated program).
+/// Returns the first violation, spanned at the offending token.
+#[allow(clippy::too_many_lines)]
 pub fn compile<P: Probability>(program: &Program) -> Result<CompiledProtocol<P>, DslError> {
-    program.validate()?;
+    let missing = |what| DslError::new(program.name.span, DslErrorKind::MissingDecl(what));
+    let out_of_range = |span, what| {
+        DslError::new(
+            span,
+            DslErrorKind::IntOutOfRange {
+                what,
+                max: u64::from(u32::MAX),
+            },
+        )
+    };
 
-    let agents: Vec<String> = program.agents.iter().map(|a| a.value.clone()).collect();
-    let actions: Vec<(String, ActionId)> = program
-        .actions
-        .iter()
-        .map(|a| {
-            (
-                a.name.value.clone(),
-                ActionId(u32::try_from(a.id.value).expect("validated action id")),
-            )
-        })
-        .collect();
-    let action_ids: HashMap<&str, ActionId> =
-        actions.iter().map(|(n, id)| (n.as_str(), *id)).collect();
-    let states: Vec<(String, u64, Vec<u64>)> = program
-        .states
-        .iter()
-        .map(|s| (s.name.value.clone(), s.env, s.locals.clone()))
-        .collect();
-    let state_tuples: HashMap<&str, (u64, &[u64])> = program
-        .states
-        .iter()
-        .map(|s| (s.name.value.as_str(), (s.env, s.locals.as_slice())))
-        .collect();
-    let failure_states: Vec<(u64, Vec<u64>)> = program
-        .states
-        .iter()
-        .filter(|s| s.fail)
-        .map(|s| (s.env, s.locals.clone()))
-        .collect();
+    // Agents: present, unique, not reserved.
+    if program.agents.is_empty() {
+        return Err(missing("agents"));
+    }
+    let n_agents = u32::try_from(program.agents.len())
+        .map_err(|_| out_of_range(program.name.span, "agent count"))?;
+    let mut agents: Map<String, AgentId> = Map::default();
+    for (id, a) in (0..n_agents).zip(&program.agents) {
+        check_name(a)?;
+        if agents.contains_key(&a.value) {
+            return Err(DslError::new(
+                a.span,
+                DslErrorKind::DuplicateAgent(a.value.clone()),
+            ));
+        }
+        agents.insert(a.value.clone(), AgentId(id));
+    }
 
-    let initial: Vec<(u64, Vec<u64>, P)> = program
+    // Horizon: present and representable as a `Time`.
+    let h = program.horizon.as_ref().ok_or_else(|| missing("horizon"))?;
+    let horizon = u32::try_from(h.value).map_err(|_| out_of_range(h.span, "horizon"))?;
+
+    // Actions: unique names, unique ids, ids fit `ActionId`.
+    let mut actions: Map<String, ActionId> = Map::default();
+    let mut action_ids: Set<u32> = Set::default();
+    for a in &program.actions {
+        check_name(&a.name)?;
+        if actions.contains_key(&a.name.value) {
+            return Err(DslError::new(
+                a.name.span,
+                DslErrorKind::DuplicateAction(a.name.value.clone()),
+            ));
+        }
+        let id = u32::try_from(a.id.value).map_err(|_| out_of_range(a.id.span, "action id"))?;
+        if !action_ids.insert(id) {
+            return Err(DslError::new(
+                a.id.span,
+                DslErrorKind::DuplicateActionId(a.id.value),
+            ));
+        }
+        actions.insert(a.name.value.clone(), ActionId(id));
+    }
+
+    // States: unique names, tuple arity = 1 + n_agents.
+    let mut states: Map<String, SimpleState> = Map::default();
+    let mut failure_states = Vec::new();
+    for s in &program.states {
+        check_name(&s.name)?;
+        if states.contains_key(&s.name.value) {
+            return Err(DslError::new(
+                s.name.span,
+                DslErrorKind::DuplicateState(s.name.value.clone()),
+            ));
+        }
+        if s.locals.len() != program.agents.len() {
+            return Err(DslError::new(
+                s.name.span,
+                DslErrorKind::ArityMismatch {
+                    expected: program.agents.len(),
+                    found: s.locals.len(),
+                },
+            ));
+        }
+        if s.fail {
+            failure_states.push((s.env, s.locals.clone()));
+        }
+        states.insert(
+            s.name.value.clone(),
+            SimpleState::new(s.env, s.locals.clone()),
+        );
+    }
+    let names = Names {
+        agents,
+        actions,
+        states,
+    };
+
+    // Init: present, states resolve, weights positive and summing to 1.
+    if program.init.is_empty() {
+        return Err(missing("init"));
+    }
+    let initial = program
         .init
         .iter()
         .map(|arm| {
-            let (env, locals) = state_tuples[arm.state.value.as_str()];
-            (env, locals.to_vec(), weight_prob(arm.weight.value))
+            let s = names.state(&arm.state)?;
+            Ok((s.env, s.locals.clone(), weight_prob(arm.weight.value)))
         })
-        .collect();
+        .collect::<Result<Vec<_>, DslError>>()?;
+    check_distribution(program.name.span, program.init.iter().map(|a| &a.weight))?;
 
+    // Moves: agents resolve, rule keys unique per agent, times before
+    // the horizon, actions resolve, distributions well formed.
     #[allow(clippy::type_complexity)]
     let mut moves: Vec<((u32, u64, Time), Vec<(Option<ActionId>, P)>)> = Vec::new();
+    let mut move_keys: Set<(AgentId, u64, u64)> = Set::default();
     for block in &program.moves {
-        let agent = u32::try_from(
-            agents
-                .iter()
-                .position(|a| *a == block.agent.value)
-                .expect("validated agent"),
-        )
-        .expect("validated agent count");
+        let Some(&agent) = names.agents.get(&block.agent.value) else {
+            return Err(DslError::new(
+                block.agent.span,
+                DslErrorKind::UnknownAgent(block.agent.value.clone()),
+            ));
+        };
         for rule in &block.rules {
-            let dist: Vec<(Option<ActionId>, P)> = rule
+            let time = rule_time(&rule.time, horizon)?;
+            if !move_keys.insert((agent, rule.local.value, rule.time.value)) {
+                return Err(DslError::new(
+                    rule.local.span,
+                    DslErrorKind::DuplicateRule(format!(
+                        "agent `{}` at ({}, {})",
+                        block.agent.value, rule.local.value, rule.time.value
+                    )),
+                ));
+            }
+            let dist = rule
                 .dist
                 .iter()
                 .map(|arm| {
                     let mv = match &arm.action.value {
                         MoveAction::Skip => None,
-                        MoveAction::Named(n) => Some(action_ids[n.as_str()]),
+                        MoveAction::Named(n) => Some(names.action(n, arm.action.span)?),
                     };
-                    (mv, weight_prob(arm.weight.value))
+                    Ok((mv, weight_prob(arm.weight.value)))
                 })
-                .collect();
-            let time = u32::try_from(rule.time.value).expect("validated time");
-            moves.push(((agent, rule.local.value, time), dist));
+                .collect::<Result<Vec<_>, DslError>>()?;
+            check_distribution(rule.local.span, rule.dist.iter().map(|a| &a.weight))?;
+            moves.push(((agent.0, rule.local.value, time), dist));
         }
     }
 
-    let compile_rules = |rules: &[TransRule]| -> Vec<StateTransition<P>> {
-        rules
-            .iter()
-            .map(|rule| {
-                let (env, locals) = state_tuples[rule.from.value.as_str()];
-                let guard = rule.guard.as_ref().map_or_else(Vec::new, |pats| {
-                    pats.iter()
-                        .map(|p| match &p.value {
-                            GuardPat::Any => MovePattern::Any,
-                            GuardPat::Skip => MovePattern::Skip,
-                            GuardPat::Named(n) => MovePattern::Do(action_ids[n.as_str()]),
-                        })
-                        .collect()
-                });
-                StateTransition {
-                    env,
-                    locals: locals.to_vec(),
-                    time: u32::try_from(rule.time.value).expect("validated time"),
-                    guard,
-                    outcomes: rule
-                        .dist
-                        .iter()
-                        .map(|arm| {
-                            let (env, locals) = state_tuples[arm.state.value.as_str()];
-                            (env, locals.to_vec(), weight_prob(arm.weight.value))
-                        })
-                        .collect(),
-                }
-            })
-            .collect()
-    };
-
-    let base_rules = compile_rules(&program.transitions);
-    let n_agents = u32::try_from(agents.len()).expect("validated agent count");
-    let horizon = u32::try_from(program.horizon.as_ref().expect("validated horizon").value)
-        .expect("validated horizon");
-    let model = TableModel {
-        n_agents,
-        initial: initial.clone(),
-        horizon,
-        moves: moves.clone(),
-        state_transitions: base_rules.clone(),
-        ..TableModel::default()
-    };
+    let base_rules = compile_rules(&program.transitions, &names, horizon)?;
 
     // Adversary variants: overrides first, base rules after — first-match
     // resolution makes the overrides win exactly on their keys.
-    let adversaries: Vec<(String, TableModel<P>)> = program
-        .adversaries
-        .iter()
-        .map(|adv| {
-            let mut rules = compile_rules(&adv.rules);
-            rules.extend(base_rules.iter().cloned());
-            let variant = TableModel {
-                n_agents,
-                initial: initial.clone(),
-                horizon,
-                moves: moves.clone(),
-                state_transitions: rules,
-                // An adversary block whose overrides happen to coincide
-                // with the base rules would otherwise fingerprint (and
-                // therefore cache) identically to the base protocol.
-                variant_tag: Some(format!("{}::{}", program.name.value, adv.name.value)),
-                ..TableModel::default()
-            };
-            (adv.name.value.clone(), variant)
-        })
-        .collect();
+    let mut adversary_names: Set<&str> = Set::default();
+    let mut adversaries = Vec::with_capacity(program.adversaries.len());
+    for adv in &program.adversaries {
+        check_name(&adv.name)?;
+        if !adversary_names.insert(adv.name.value.as_str()) {
+            return Err(DslError::new(
+                adv.name.span,
+                DslErrorKind::DuplicateAdversary(adv.name.value.clone()),
+            ));
+        }
+        let mut rules = compile_rules(&adv.rules, &names, horizon)?;
+        rules.extend(base_rules.iter().cloned());
+        let variant = TableModel {
+            n_agents,
+            initial: initial.clone(),
+            horizon,
+            moves: moves.clone(),
+            state_transitions: rules,
+            // An adversary block whose overrides happen to coincide
+            // with the base rules would otherwise fingerprint (and
+            // therefore cache) identically to the base protocol.
+            variant_tag: Some(format!("{}::{}", program.name.value, adv.name.value)),
+            ..TableModel::default()
+        };
+        adversaries.push((adv.name.value.clone(), variant));
+    }
 
+    let model = TableModel {
+        n_agents,
+        initial,
+        horizon,
+        moves,
+        state_transitions: base_rules,
+        ..TableModel::default()
+    };
     Ok(CompiledProtocol {
         name: program.name.value.clone(),
-        agents,
-        actions,
-        states,
+        names,
         failure_states,
         model,
         adversaries,
     })
 }
 
-/// Parses, validates, and compiles a program in one call.
+/// Parses and compiles a program in one call.
 ///
 /// # Errors
 ///
@@ -421,6 +653,37 @@ mod tests {
         });
         // cold is reached only via the skip branch (prob 1/2 · 1/3).
         assert_eq!(pps.measure(&event), Rational::from_ratio(1, 6));
+    }
+
+    #[test]
+    fn exact_rational_sums_are_accepted_for_every_p() {
+        let src = "protocol thirds {
+            agents a;
+            horizon 1;
+            state s = (0, 0);
+            init { 1/3: s; 1/3: s; 1/3: s; }
+        }";
+        compile_str::<Rational>(src).unwrap();
+        // `f64` thirds do not sum to exactly one; the check is in Rational.
+        compile_str::<f64>(src).unwrap();
+    }
+
+    #[test]
+    fn guard_shadowing_in_adversary_is_allowed() {
+        // The same (state, time, guard) key may appear in the base block
+        // and again in an adversary block — that is how overrides work.
+        compile_str::<Rational>(
+            "protocol shadow {
+                agents a;
+                horizon 1;
+                state s = (0, 0);
+                state t = (1, 0);
+                init { 1: s; }
+                transitions { from s at 0 -> s; }
+                adversary adv { from s at 0 -> t; }
+            }",
+        )
+        .unwrap();
     }
 
     #[test]

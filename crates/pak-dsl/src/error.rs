@@ -1,5 +1,4 @@
-//! Spanned diagnostics shared by the lexer, parser, validator, and
-//! compiler.
+//! Spanned diagnostics shared by the lexer, parser, and compiler.
 //!
 //! Every error the crate produces is a [`DslError`]: a [`Span`] locating
 //! the offending text (byte offset plus 1-based line/column) and a
@@ -39,7 +38,7 @@ impl Span {
     }
 }
 
-/// What went wrong — lexing, parsing, or validation.
+/// What went wrong — lexing, parsing, or a compile-time check.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DslErrorKind {
     /// A character outside the language's alphabet.
@@ -186,7 +185,7 @@ impl fmt::Display for DslErrorKind {
     }
 }
 
-/// An error anywhere in the parse → validate → compile pipeline, with the
+/// An error anywhere in the parse → compile pipeline, with the
 /// source location it refers to.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DslError {

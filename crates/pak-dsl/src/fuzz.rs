@@ -14,9 +14,12 @@
 //! rules with an unconditional catch-all, states that alias the same
 //! tuple under two names, `fail` annotations, duplicate init arms, and
 //! `adversary` override blocks. The emitted text is what feeds the
-//! compile → unfold → extend → engine differential chain in
+//! parse → compile → unfold → extend → engine differential chain in
 //! `tests/dsl_differential.rs`; the bounds in [`FuzzConfig`] keep the
 //! unfolded trees small enough to sweep hundreds of programs.
+//! `tests/hostile_inputs.rs` mutates the same programs byte by byte to
+//! check that parse → compile never panics and that every diagnostic
+//! points inside the source.
 //!
 //! # Examples
 //!
@@ -26,7 +29,7 @@
 //! use pak_num::Rational;
 //!
 //! let src = fuzz_program(42, &FuzzConfig::default());
-//! // Fuzzed programs always parse, validate, and compile.
+//! // Fuzzed programs always parse and compile.
 //! let compiled = compile_str::<Rational>(&src).unwrap();
 //! assert!(compiled.model().horizon >= 1);
 //! ```

@@ -11,8 +11,10 @@
 //! joint move, initial-state distributions, `fail` state annotations, and
 //! named `adversary` override blocks.
 //!
-//! The pipeline is [`parse`] → [`Program::validate`](ast::Program) →
-//! [`compile()`], each stage reporting spanned, actionable diagnostics
+//! The pipeline is [`parse`] → [`compile()`]: the parser pulls tokens
+//! from the [`lexer`] one at a time as it needs them, and the compiler
+//! checks every name, arity, time and weight where it resolves it, in
+//! one pass. Both stages report spanned, actionable diagnostics
 //! ([`DslError`]). Compiled protocols are ordinary
 //! [`TableModel`](pak_protocol::model::TableModel)s, so they inherit the
 //! indexed lookups, allocation-free appending queries, incremental
@@ -56,7 +58,6 @@ pub mod error;
 pub mod fuzz;
 pub mod lexer;
 pub mod parser;
-pub mod validate;
 
 pub use ast::Program;
 pub use compile::{compile, compile_str, CompiledProtocol};

@@ -30,7 +30,7 @@
 //! local data, in `agents`-declaration order. In a `move-rule`, `at
 //! (LOCAL, TIME)` keys the rule on the agent's own local data — agents
 //! cannot read anything else, which is the paper's locality condition
-//! enforced by the grammar itself. Keywords are contextual; the validator
+//! enforced by the grammar itself. Keywords are contextual; the compiler
 //! additionally rejects declaring names that collide with them.
 //!
 //! Every diagnostic is a spanned [`DslError`] pointing at the offending
@@ -67,106 +67,86 @@ use crate::ast::{
     Program, Spanned, StateDecl, TransArm, TransRule, Weight,
 };
 use crate::error::{DslError, DslErrorKind, Span};
-use crate::lexer::{lex, Token, TokenKind};
+use crate::lexer::{Lexer, Token, TokenKind};
 
 /// Parses a protocol program.
 ///
 /// This is purely syntactic — name resolution, arity checks, and
-/// weight-sum checks live in [`Program::validate`](crate::validate), which
-/// [`crate::compile()`] runs for you.
+/// weight-sum checks happen in [`crate::compile()`].
 ///
 /// # Errors
 ///
 /// Returns a spanned [`DslError`] describing the first lexical or
-/// syntactic problem.
+/// syntactic problem in source order.
 pub fn parse(src: &str) -> Result<Program, DslError> {
-    let tokens = lex(src)?;
-    let mut p = Parser { tokens, pos: 0 };
-    p.program()
+    let mut lexer = Lexer::new(src);
+    let tok = lexer.next_token()?;
+    Parser { lexer, tok }.program()
 }
 
-struct Parser {
-    tokens: Vec<Token>,
-    pos: usize,
+/// The parser state: the lexer and one token of lookahead. A lexical
+/// error surfaces when the token it sits in becomes the lookahead, so
+/// diagnostics come in source order.
+struct Parser<'src> {
+    lexer: Lexer<'src>,
+    tok: Token<'src>,
 }
 
-impl Parser {
-    fn peek(&self) -> &Token {
-        &self.tokens[self.pos]
-    }
-
-    fn bump(&mut self) -> Token {
-        let t = self.tokens[self.pos].clone();
-        if self.pos + 1 < self.tokens.len() {
-            self.pos += 1;
-        }
-        t
+impl<'src> Parser<'src> {
+    fn bump(&mut self) -> Result<Token<'src>, DslError> {
+        let t = self.tok;
+        self.tok = self.lexer.next_token()?;
+        Ok(t)
     }
 
     fn err_here(&self, what: &'static str) -> DslError {
-        let t = self.peek();
         DslError::new(
-            t.span,
+            self.tok.span,
             DslErrorKind::Expected {
                 what,
-                found: t.kind.describe(),
+                found: self.tok.kind.describe(),
             },
         )
     }
 
-    fn eat(&mut self, kind: &TokenKind) -> Option<Span> {
-        if &self.peek().kind == kind {
-            Some(self.bump().span)
+    fn eat(&mut self, kind: TokenKind<'_>) -> Result<Option<Span>, DslError> {
+        if self.tok.kind == kind {
+            Ok(Some(self.bump()?.span))
         } else {
-            None
+            Ok(None)
         }
     }
 
-    fn expect(&mut self, kind: &TokenKind, what: &'static str) -> Result<Span, DslError> {
-        self.eat(kind).ok_or_else(|| self.err_here(what))
+    fn expect(&mut self, kind: TokenKind<'_>, what: &'static str) -> Result<Span, DslError> {
+        self.eat(kind)?.ok_or_else(|| self.err_here(what))
     }
 
     fn expect_ident(&mut self, what: &'static str) -> Result<Spanned<String>, DslError> {
-        match &self.peek().kind {
-            TokenKind::Ident(s) => {
-                let value = s.clone();
-                let span = self.bump().span;
-                Ok(Spanned::new(value, span))
-            }
+        match self.tok.kind {
+            TokenKind::Ident(s) => Ok(Spanned::new(s.to_string(), self.bump()?.span)),
             _ => Err(self.err_here(what)),
         }
     }
 
     fn expect_int(&mut self, what: &'static str) -> Result<Spanned<u64>, DslError> {
-        match self.peek().kind {
-            TokenKind::Int(n) => {
-                let span = self.bump().span;
-                Ok(Spanned::new(n, span))
-            }
+        match self.tok.kind {
+            TokenKind::Int(n) => Ok(Spanned::new(n, self.bump()?.span)),
             _ => Err(self.err_here(what)),
         }
     }
 
-    fn at_keyword(&self, kw: &str) -> bool {
-        matches!(&self.peek().kind, TokenKind::Ident(s) if s == kw)
-    }
-
-    fn eat_keyword(&mut self, kw: &str) -> Option<Span> {
-        if self.at_keyword(kw) {
-            Some(self.bump().span)
-        } else {
-            None
-        }
+    fn eat_keyword(&mut self, kw: &str) -> Result<Option<Span>, DslError> {
+        self.eat(TokenKind::Ident(kw))
     }
 
     fn expect_keyword(&mut self, kw: &str, what: &'static str) -> Result<Span, DslError> {
-        self.eat_keyword(kw).ok_or_else(|| self.err_here(what))
+        self.eat_keyword(kw)?.ok_or_else(|| self.err_here(what))
     }
 
     fn program(&mut self) -> Result<Program, DslError> {
         self.expect_keyword("protocol", "the keyword `protocol`")?;
         let name = self.expect_ident("a protocol name")?;
-        self.expect(&TokenKind::LBrace, "`{` opening the protocol body")?;
+        self.expect(TokenKind::LBrace, "`{` opening the protocol body")?;
         let mut prog = Program {
             name,
             agents: Vec::new(),
@@ -180,13 +160,13 @@ impl Parser {
         };
         let mut init_seen = false;
         loop {
-            if self.eat(&TokenKind::RBrace).is_some() {
+            if self.eat(TokenKind::RBrace)?.is_some() {
                 break;
             }
             self.decl(&mut prog, &mut init_seen)?;
         }
-        if self.peek().kind != TokenKind::Eof {
-            return Err(DslError::new(self.peek().span, DslErrorKind::TrailingInput));
+        if self.tok.kind != TokenKind::Eof {
+            return Err(DslError::new(self.tok.span, DslErrorKind::TrailingInput));
         }
         Ok(prog)
     }
@@ -194,12 +174,11 @@ impl Parser {
     fn decl(&mut self, prog: &mut Program, init_seen: &mut bool) -> Result<(), DslError> {
         const WHAT: &str = "a declaration (`agents`, `horizon`, `action`, `state`, `init`, \
                             `moves`, `transitions`, or `adversary`) or `}`";
-        let kw = match &self.peek().kind {
-            TokenKind::Ident(s) => s.clone(),
-            _ => return Err(self.err_here(WHAT)),
+        let TokenKind::Ident(kw) = self.tok.kind else {
+            return Err(self.err_here(WHAT));
         };
-        let kw_span = self.peek().span;
-        match kw.as_str() {
+        let kw_span = self.tok.span;
+        match kw {
             "agents" => {
                 if !prog.agents.is_empty() {
                     return Err(DslError::new(
@@ -207,12 +186,12 @@ impl Parser {
                         DslErrorKind::DuplicateDecl("agents"),
                     ));
                 }
-                self.bump();
+                self.bump()?;
                 prog.agents.push(self.expect_ident("an agent name")?);
-                while self.eat(&TokenKind::Comma).is_some() {
+                while self.eat(TokenKind::Comma)?.is_some() {
                     prog.agents.push(self.expect_ident("an agent name")?);
                 }
-                self.expect(&TokenKind::Semi, "`;` after the agent list")?;
+                self.expect(TokenKind::Semi, "`;` after the agent list")?;
             }
             "horizon" => {
                 if prog.horizon.is_some() {
@@ -221,31 +200,31 @@ impl Parser {
                         DslErrorKind::DuplicateDecl("horizon"),
                     ));
                 }
-                self.bump();
+                self.bump()?;
                 prog.horizon = Some(self.expect_int("an integer")?);
-                self.expect(&TokenKind::Semi, "`;` after the horizon")?;
+                self.expect(TokenKind::Semi, "`;` after the horizon")?;
             }
             "action" => {
-                self.bump();
+                self.bump()?;
                 let name = self.expect_ident("an action name")?;
-                self.expect(&TokenKind::Eq, "`=` between the action name and its id")?;
+                self.expect(TokenKind::Eq, "`=` between the action name and its id")?;
                 let id = self.expect_int("a numeric action id")?;
-                self.expect(&TokenKind::Semi, "`;` after the action declaration")?;
+                self.expect(TokenKind::Semi, "`;` after the action declaration")?;
                 prog.actions.push(ActionDecl { name, id });
             }
             "state" => {
-                self.bump();
+                self.bump()?;
                 let name = self.expect_ident("a state name")?;
-                self.expect(&TokenKind::Eq, "`=` between the state name and its tuple")?;
-                self.expect(&TokenKind::LParen, "`(` opening the state tuple")?;
+                self.expect(TokenKind::Eq, "`=` between the state name and its tuple")?;
+                self.expect(TokenKind::LParen, "`(` opening the state tuple")?;
                 let env = self.expect_int("the environment component")?.value;
                 let mut locals = Vec::new();
-                while self.eat(&TokenKind::Comma).is_some() {
+                while self.eat(TokenKind::Comma)?.is_some() {
                     locals.push(self.expect_int("a local-data component")?.value);
                 }
-                self.expect(&TokenKind::RParen, "`)` closing the state tuple")?;
-                let fail = self.eat_keyword("fail").is_some();
-                self.expect(&TokenKind::Semi, "`;` after the state declaration")?;
+                self.expect(TokenKind::RParen, "`)` closing the state tuple")?;
+                let fail = self.eat_keyword("fail")?.is_some();
+                self.expect(TokenKind::Semi, "`;` after the state declaration")?;
                 prog.states.push(StateDecl {
                     name,
                     env,
@@ -258,58 +237,58 @@ impl Parser {
                     return Err(DslError::new(kw_span, DslErrorKind::DuplicateDecl("init")));
                 }
                 *init_seen = true;
-                self.bump();
-                self.expect(&TokenKind::LBrace, "`{` opening the init distribution")?;
+                self.bump()?;
+                self.expect(TokenKind::LBrace, "`{` opening the init distribution")?;
                 loop {
-                    if self.eat(&TokenKind::RBrace).is_some() {
+                    if self.eat(TokenKind::RBrace)?.is_some() {
                         break;
                     }
                     let weight = self.weight()?;
-                    self.expect(&TokenKind::Colon, "`:` between a weight and its state")?;
+                    self.expect(TokenKind::Colon, "`:` between a weight and its state")?;
                     let state = self.expect_ident("an initial state name")?;
-                    self.expect(&TokenKind::Semi, "`;` after the init arm")?;
+                    self.expect(TokenKind::Semi, "`;` after the init arm")?;
                     prog.init.push(InitArm { weight, state });
                 }
             }
             "moves" => {
-                self.bump();
+                self.bump()?;
                 let agent = self.expect_ident("an agent name after `moves`")?;
-                self.expect(&TokenKind::LBrace, "`{` opening the moves block")?;
+                self.expect(TokenKind::LBrace, "`{` opening the moves block")?;
                 let mut rules = Vec::new();
                 loop {
-                    if self.eat(&TokenKind::RBrace).is_some() {
+                    if self.eat(TokenKind::RBrace)?.is_some() {
                         break;
                     }
                     self.expect_keyword("at", "`at` starting a move rule, or `}`")?;
-                    self.expect(&TokenKind::LParen, "`(` after `at`")?;
+                    self.expect(TokenKind::LParen, "`(` after `at`")?;
                     let local = self.expect_int("the agent's local data")?;
-                    self.expect(&TokenKind::Comma, "`,` between local data and time")?;
+                    self.expect(TokenKind::Comma, "`,` between local data and time")?;
                     let time = self.expect_int("a time")?;
-                    self.expect(&TokenKind::RParen, "`)` closing the rule key")?;
-                    self.expect(&TokenKind::Arrow, "`->` before the move distribution")?;
+                    self.expect(TokenKind::RParen, "`)` closing the rule key")?;
+                    self.expect(TokenKind::Arrow, "`->` before the move distribution")?;
                     let dist = self.move_dist()?;
-                    self.expect(&TokenKind::Semi, "`;` after the move rule")?;
+                    self.expect(TokenKind::Semi, "`;` after the move rule")?;
                     rules.push(MoveRule { local, time, dist });
                 }
                 prog.moves.push(MoveBlock { agent, rules });
             }
             "transitions" => {
-                self.bump();
-                self.expect(&TokenKind::LBrace, "`{` opening the transitions block")?;
+                self.bump()?;
+                self.expect(TokenKind::LBrace, "`{` opening the transitions block")?;
                 loop {
-                    if self.eat(&TokenKind::RBrace).is_some() {
+                    if self.eat(TokenKind::RBrace)?.is_some() {
                         break;
                     }
                     prog.transitions.push(self.trans_rule()?);
                 }
             }
             "adversary" => {
-                self.bump();
+                self.bump()?;
                 let name = self.expect_ident("an adversary name")?;
-                self.expect(&TokenKind::LBrace, "`{` opening the adversary block")?;
+                self.expect(TokenKind::LBrace, "`{` opening the adversary block")?;
                 let mut rules = Vec::new();
                 loop {
-                    if self.eat(&TokenKind::RBrace).is_some() {
+                    if self.eat(TokenKind::RBrace)?.is_some() {
                         break;
                     }
                     rules.push(self.trans_rule()?);
@@ -323,7 +302,7 @@ impl Parser {
 
     fn weight(&mut self) -> Result<Spanned<Weight>, DslError> {
         let num = self.expect_int("a weight")?;
-        if self.eat(&TokenKind::Slash).is_some() {
+        if self.eat(TokenKind::Slash)?.is_some() {
             let den = self.expect_int("a weight denominator")?;
             let span = num.span.to(den.span);
             if den.value == 0 {
@@ -348,7 +327,7 @@ impl Parser {
     }
 
     fn move_act(&mut self) -> Result<Spanned<MoveAction>, DslError> {
-        if let Some(span) = self.eat_keyword("skip") {
+        if let Some(span) = self.eat_keyword("skip")? {
             return Ok(Spanned::new(MoveAction::Skip, span));
         }
         let name = self.expect_ident("an action name or `skip`")?;
@@ -356,19 +335,19 @@ impl Parser {
     }
 
     fn move_dist(&mut self) -> Result<Vec<MoveArm>, DslError> {
-        if self.eat(&TokenKind::LBrace).is_some() {
+        if self.eat(TokenKind::LBrace)?.is_some() {
             let mut arms = Vec::new();
             loop {
-                if self.eat(&TokenKind::RBrace).is_some() {
+                if self.eat(TokenKind::RBrace)?.is_some() {
                     if arms.is_empty() {
                         return Err(self.err_here("at least one `WEIGHT: action;` arm"));
                     }
                     break;
                 }
                 let weight = self.weight()?;
-                self.expect(&TokenKind::Colon, "`:` between a weight and its action")?;
+                self.expect(TokenKind::Colon, "`:` between a weight and its action")?;
                 let action = self.move_act()?;
-                self.expect(&TokenKind::Semi, "`;` after the distribution arm")?;
+                self.expect(TokenKind::Semi, "`;` after the distribution arm")?;
                 arms.push(MoveArm { weight, action });
             }
             Ok(arms)
@@ -383,16 +362,14 @@ impl Parser {
     }
 
     fn pattern(&mut self) -> Result<Spanned<GuardPat>, DslError> {
-        if let Some(span) = self.eat(&TokenKind::Underscore) {
+        if let Some(span) = self.eat(TokenKind::Underscore)? {
             return Ok(Spanned::new(GuardPat::Any, span));
         }
-        if let Some(span) = self.eat_keyword("skip") {
+        if let Some(span) = self.eat_keyword("skip")? {
             return Ok(Spanned::new(GuardPat::Skip, span));
         }
-        match self.expect_ident("a move pattern (`_`, `skip`, or an action name)") {
-            Ok(name) => Ok(Spanned::new(GuardPat::Named(name.value), name.span)),
-            Err(e) => Err(e),
-        }
+        let name = self.expect_ident("a move pattern (`_`, `skip`, or an action name)")?;
+        Ok(Spanned::new(GuardPat::Named(name.value), name.span))
     }
 
     fn trans_rule(&mut self) -> Result<TransRule, DslError> {
@@ -400,31 +377,31 @@ impl Parser {
         let from = self.expect_ident("a source state name")?;
         self.expect_keyword("at", "`at` before the rule's time")?;
         let time = self.expect_int("a time")?;
-        let guard = if self.eat_keyword("when").is_some() {
-            self.expect(&TokenKind::LBracket, "`[` opening the guard")?;
+        let guard = if self.eat_keyword("when")?.is_some() {
+            self.expect(TokenKind::LBracket, "`[` opening the guard")?;
             let mut pats = vec![self.pattern()?];
-            while self.eat(&TokenKind::Comma).is_some() {
+            while self.eat(TokenKind::Comma)?.is_some() {
                 pats.push(self.pattern()?);
             }
-            self.expect(&TokenKind::RBracket, "`]` closing the guard")?;
+            self.expect(TokenKind::RBracket, "`]` closing the guard")?;
             Some(pats)
         } else {
             None
         };
-        self.expect(&TokenKind::Arrow, "`->` before the successor distribution")?;
-        let dist = if self.eat(&TokenKind::LBrace).is_some() {
+        self.expect(TokenKind::Arrow, "`->` before the successor distribution")?;
+        let dist = if self.eat(TokenKind::LBrace)?.is_some() {
             let mut arms = Vec::new();
             loop {
-                if self.eat(&TokenKind::RBrace).is_some() {
+                if self.eat(TokenKind::RBrace)?.is_some() {
                     if arms.is_empty() {
                         return Err(self.err_here("at least one `WEIGHT: state;` arm"));
                     }
                     break;
                 }
                 let weight = self.weight()?;
-                self.expect(&TokenKind::Colon, "`:` between a weight and its state")?;
+                self.expect(TokenKind::Colon, "`:` between a weight and its state")?;
                 let state = self.expect_ident("a successor state name")?;
-                self.expect(&TokenKind::Semi, "`;` after the distribution arm")?;
+                self.expect(TokenKind::Semi, "`;` after the distribution arm")?;
                 arms.push(TransArm { weight, state });
             }
             arms
@@ -436,7 +413,7 @@ impl Parser {
                 state,
             }]
         };
-        self.expect(&TokenKind::Semi, "`;` after the transition rule")?;
+        self.expect(TokenKind::Semi, "`;` after the transition rule")?;
         Ok(TransRule {
             from,
             time,
@@ -450,6 +427,8 @@ impl Parser {
 mod tests {
     use super::*;
     use crate::ast::Weight;
+    use crate::compile::compile;
+    use pak_num::Rational;
 
     const GOOD: &str = "
         protocol demo {
@@ -498,18 +477,28 @@ mod tests {
         assert_eq!(printed, reparsed.to_string());
     }
 
-    /// The satellite error-quality table: ~20 malformed programs, each
-    /// asserting the exact [`DslErrorKind`] and the exact 1-based
-    /// line/column the diagnostic points at. All inputs are single-line so
-    /// the column is easy to count; the full parse → validate pipeline
-    /// runs so lexical, syntactic, and semantic diagnostics are all
-    /// covered.
+    /// The error-quality table: ~30 malformed programs, each asserting
+    /// the exact [`DslErrorKind`] and the exact 1-based line/column the
+    /// diagnostic points at. All inputs are single-line so the column is
+    /// easy to count; the full parse → compile pipeline runs so lexical,
+    /// syntactic, and semantic diagnostics are all covered.
     #[test]
     fn malformed_program_table() {
         use DslErrorKind as K;
         let cases: Vec<(&str, DslErrorKind, u32, u32)> = vec![
             // --- lexical ---
             ("protocol p @{ }", K::UnexpectedChar('@'), 1, 12),
+            // The column after a comment counts the comment's characters.
+            (
+                "protocol p { # trailing comment",
+                K::Expected {
+                    what: "a declaration (`agents`, `horizon`, `action`, `state`, `init`, \
+                           `moves`, `transitions`, or `adversary`) or `}`",
+                    found: "end of input".into(),
+                },
+                1,
+                32,
+            ),
             (
                 "protocol p { horizon 18446744073709551616; }",
                 K::NumberTooLarge,
@@ -519,6 +508,17 @@ mod tests {
             // --- syntactic ---
             (
                 "protocol p { horizon; }",
+                K::Expected {
+                    what: "an integer",
+                    found: "`;`".into(),
+                },
+                1,
+                21,
+            ),
+            // Diagnostics come in source order: the syntax error before
+            // the bad character wins.
+            (
+                "protocol p { horizon; @ }",
                 K::Expected {
                     what: "an integer",
                     found: "`;`".into(),
@@ -577,7 +577,7 @@ mod tests {
             ),
             ("protocol p { agents a; agents b; }", K::DuplicateDecl("agents"), 1, 24),
             ("protocol p { init { } init { } }", K::DuplicateDecl("init"), 1, 23),
-            // --- validation: names and declarations ---
+            // --- compile checks: names and declarations ---
             (
                 "protocol p { agents a, a; horizon 1; state s = (0, 0); init { 1: s; } }",
                 K::DuplicateAgent("a".into()),
@@ -615,7 +615,7 @@ mod tests {
                 1,
                 60,
             ),
-            // --- validation: arity, references, weights, times ---
+            // --- compile checks: arity, references, weights, times ---
             (
                 "protocol p { agents a, b; horizon 1; state s = (0, 7); init { 1: s; } }",
                 K::ArityMismatch {
@@ -686,7 +686,7 @@ mod tests {
         assert!(cases.len() >= 20, "the table must stay ~20 cases strong");
         for (src, kind, line, col) in cases {
             let err = parse(src)
-                .and_then(|p| p.validate().map(|()| p))
+                .and_then(|p| compile::<Rational>(&p))
                 .expect_err(&format!("program must be rejected: {src}"));
             assert_eq!(err.kind, kind, "wrong diagnostic for: {src}\ngot: {err}");
             assert_eq!(

@@ -30,13 +30,9 @@
 //! * **append** — push the distribution onto `out`; never read, reorder
 //!   or truncate the entries the caller left there;
 //! * **pure** — the appended entries are a function of the arguments
-//!   only, so that the unfolder's `(state, time)` expansion memo may call
-//!   a method once and replay the result anywhere. Purity outlives a
-//!   single unfold: a retained [`Unfolder`](crate::unfold::Unfolder)
-//!   keeps the memo alive across
-//!   [`extend_horizon`](crate::unfold::Unfolder::extend_horizon) calls, so
-//!   an expansion computed while building horizon `h` may be replayed
-//!   verbatim while growing to `h + 1` and beyond;
+//!   only, so that the unfolder's expansion memo may call a method once
+//!   per state and level and replay the result for every node of the
+//!   level that reaches the state;
 //! * **bit-equal** — calls with equal arguments append the same entries
 //!   in the same order with bit-equal probabilities. A model whose answers
 //!   drifted between calls would silently diverge from its own earlier

@@ -35,12 +35,12 @@
 //! scratch buffers (no allocation per query), and treats both — and
 //! [`ProtocolModel::is_terminal`] — as *pure functions* of their
 //! arguments (see [`mod@crate::model`]): because interning makes state
-//! identity explicit, expansions are memoized per `(state, time)` and
-//! replayed for every tree node that revisits the pair, so the model's
-//! methods may be called once where a naive enumeration would call them
-//! many times. Models whose distributions depend on hidden mutable state
-//! would produce unspecified (though still validated) trees — no model in
-//! this workspace does.
+//! identity explicit, expansions are memoized per state within a level
+//! and replayed for every tree node of the level that revisits the
+//! state, so the model's methods may be called once where a naive
+//! enumeration would call them many times. Models whose distributions
+//! depend on hidden mutable state would produce unspecified (though still
+//! validated) trees — no model in this workspace does.
 //!
 //! # Level-order growth
 //!
@@ -50,10 +50,10 @@
 //! ids, pool ids, arenas and all — and it is how every tree is built:
 //! the unfolder seeds only the prior through a [`PpsBuilder`], then
 //! appends one level at a time through a [`PpsExtender`], which
-//! validates the level and repairs the run and cell indexes in place. A retained [`Unfolder`]
-//! keeps the model, the `(state, time)` memo, the scratch buffers, and
-//! the frontier alive between calls, so [`Unfolder::extend_horizon`]
-//! grows a finished tree by the same step that built it. A tree grown
+//! validates the level and repairs the run and cell indexes in place. A
+//! retained [`Unfolder`] keeps the model, the scratch buffers, and the
+//! frontier alive between calls, so [`Unfolder::extend_horizon`] grows a
+//! finished tree by the same step that built it. A tree grown
 //! to horizon `h` is therefore the tree a capped unfold
 //! ([`UnfoldConfig::horizon`]) returns, and the differential suites
 //! (`tests/unfold_differential.rs`, `tests/systems_unfold_smoke.rs`,
@@ -216,41 +216,38 @@ where
     Ok(Unfolder::new(model, config.clone())?.into_pps())
 }
 
-/// Sentinel for "no memoized expansion" in [`ExpansionCore`]'s dense memo
-/// rows.
+/// Sentinel for "no memoized expansion" in [`ExpansionCore`]'s memo.
 const EXPANSION_NONE: u32 = u32::MAX;
-/// Total-cell budget across the dense memo rows; keys past it spill into
-/// an ordinary hash map (see [`ExpansionCore::memo_insert`]).
-const DENSE_MEMO_BUDGET: usize = 1 << 20;
 
 /// The expansion engine: the frontier and every reusable buffer of the
 /// expansion loop, kept separate from the tree being grown (the
 /// [`PpsExtender`]) so a failed level rolls each back on its own; a
-/// retained [`Unfolder`] keeps the engine — memo, scratch, frontier and
-/// all — alive across horizon extensions.
+/// retained [`Unfolder`] keeps the engine — scratch, frontier and all —
+/// alive across horizon extensions.
 ///
 /// The frontier is processed strictly in **level order** (all of time `t`
 /// before any of time `t + 1`), which makes every horizon-`h` tree a
 /// prefix of the horizon-`h + 1` tree and is what grounds the
 /// grown-equals-rebuilt bit-identity contract.
 ///
-/// Interning makes repeated work *visible*: two frontier nodes carrying
-/// the same `(StateId, time)` expand to bit-identical successor lists
-/// (the model's methods are pure functions of the state and time), so the
-/// merged expansion is computed once per distinct pair and replayed for
-/// every further node that reaches it. Unfolded trees revisit states
-/// heavily — merging and environment branching both funnel into shared
-/// states — which makes this the main saving of the interned pipeline.
+/// Interning makes repeated work *visible*: two frontier nodes of one
+/// level carrying the same `StateId` expand to bit-identical successor
+/// lists (the model's methods are pure functions of the state and time),
+/// so the merged expansion is computed once per distinct state and
+/// replayed for every further node of the level that reaches it.
+/// Unfolded trees revisit states heavily — merging and environment
+/// branching both funnel into shared states — which makes this the main
+/// saving of the interned pipeline.
 /// Alongside each successor list the memo keeps the nodes of the
 /// *first* emission: replays go through [`PpsExtender::append_replay`]
 /// (state, probability, and actions shared from the template nodes — no
 /// per-edge re-validation, no copies, and no second distribution sum at
 /// commit).
-/// Memo keys are dense (`time × StateId`), so the memo is a grown-on-demand
-/// flat table probed with two array reads per node, not a hash map —
-/// bounded by a total-cell budget so deep, state-diverse models (where
-/// `time × states` is quadratic in tree size) cannot blow up memory:
-/// keys past the budget spill into an ordinary hash map.
+/// The memo covers only the level being expanded: every node of a level
+/// sits at one time, and a later level can never hit an earlier level's
+/// entry, so the memo is one row indexed by `StateId` (bounded by the
+/// state pool, itself at most `max_nodes`), and it is reset when the
+/// level commits or rolls back.
 struct ExpansionCore<'m, M: ProtocolModel<P>, P: Probability> {
     model: &'m M,
     n_agents: u32,
@@ -264,10 +261,10 @@ struct ExpansionCore<'m, M: ProtocolModel<P>, P: Probability> {
     frontier: Vec<(NodeId, StateId)>,
     /// The next level's frontier, filled while the current one expands.
     next: Vec<(NodeId, StateId)>,
-    // --- `(state, time)` expansion memo ---
-    expansion_rows: Vec<Vec<u32>>,
-    expansion_spill: HashMap<(StateId, u32), u32, FxBuildHasher>,
-    dense_memo_cells: usize,
+    // --- the open level's expansion memo ---
+    /// Each state's memoized expansion at the open level, indexed by
+    /// `StateId` ([`EXPANSION_NONE`] where there is none).
+    memo: Vec<u32>,
     /// Memoized expansions: `(start, count, first child)` — the
     /// expansion's successors are `successors[start..start + count]`, and
     /// its first emission's children were inserted back to back from
@@ -276,10 +273,10 @@ struct ExpansionCore<'m, M: ProtocolModel<P>, P: Probability> {
     /// The memoized successor lists, flat: each successor's interned
     /// state and whether it is still live (not terminal) one step later.
     successors: Vec<(StateId, bool)>,
-    /// Memo keys inserted during the level currently expanding — the undo
-    /// log that lets a failed extension level roll the memo back
-    /// ([`ExpansionCore::rollback_level`]).
-    memo_added: Vec<(StateId, u32)>,
+    /// The states whose `memo` slot the open level has set, cleared back
+    /// to [`EXPANSION_NONE`] when the level ends
+    /// ([`ExpansionCore::end_level`]).
+    memo_added: Vec<StateId>,
     // --- per-expansion scratch, cleared (not reallocated) per miss ---
     /// Each agent's move distribution, filled through
     /// [`ProtocolModel::moves`].
@@ -318,9 +315,7 @@ where
             node_count: self.node_count,
             frontier: self.frontier.clone(),
             next: self.next.clone(),
-            expansion_rows: self.expansion_rows.clone(),
-            expansion_spill: self.expansion_spill.clone(),
-            dense_memo_cells: self.dense_memo_cells,
+            memo: self.memo.clone(),
             expansions: self.expansions.clone(),
             successors: self.successors.clone(),
             memo_added: self.memo_added.clone(),
@@ -349,9 +344,7 @@ where
             node_count: 0,
             frontier: Vec::new(),
             next: Vec::new(),
-            expansion_rows: Vec::new(),
-            expansion_spill: HashMap::default(),
-            dense_memo_cells: 0,
+            memo: Vec::new(),
             expansions: Vec::new(),
             successors: Vec::new(),
             memo_added: Vec::new(),
@@ -385,41 +378,19 @@ where
         Ok(())
     }
 
-    fn memo_get(&self, sid: StateId, time: u32) -> u32 {
-        let slot = self
-            .expansion_rows
-            .get(time as usize)
-            .and_then(|row| row.get(sid.index()))
+    fn memo_get(&self, sid: StateId) -> u32 {
+        self.memo
+            .get(sid.index())
             .copied()
-            .unwrap_or(EXPANSION_NONE);
-        if slot == EXPANSION_NONE && !self.expansion_spill.is_empty() {
-            return self
-                .expansion_spill
-                .get(&(sid, time))
-                .copied()
-                .unwrap_or(EXPANSION_NONE);
-        }
-        slot
+            .unwrap_or(EXPANSION_NONE)
     }
 
-    fn memo_insert(&mut self, sid: StateId, time: u32, slot: u32) {
-        self.memo_added.push((sid, time));
-        if self.expansion_rows.len() <= time as usize {
-            self.expansion_rows.resize_with(time as usize + 1, Vec::new);
+    fn memo_insert(&mut self, sid: StateId, slot: u32) {
+        if self.memo.len() <= sid.index() {
+            self.memo.resize(sid.index() + 1, EXPANSION_NONE);
         }
-        let row = &mut self.expansion_rows[time as usize];
-        if sid.index() < row.len() {
-            row[sid.index()] = slot;
-        } else {
-            let grow = sid.index() + 1 - row.len();
-            if self.dense_memo_cells + grow <= DENSE_MEMO_BUDGET {
-                self.dense_memo_cells += grow;
-                row.resize(sid.index() + 1, EXPANSION_NONE);
-                row[sid.index()] = slot;
-            } else {
-                self.expansion_spill.insert((sid, time), slot);
-            }
-        }
+        self.memo[sid.index()] = slot;
+        self.memo_added.push(sid);
     }
 
     /// Expands every node of the current frontier (all at `time`) into
@@ -440,8 +411,7 @@ where
         config: &UnfoldConfig,
         cancel: Option<&CancelToken>,
     ) -> Result<(), UnfoldError> {
-        debug_assert!(self.next.is_empty());
-        self.memo_added.clear();
+        debug_assert!(self.next.is_empty() && self.memo_added.is_empty());
         let mut i = 0;
         while i < self.frontier.len() {
             if let Some(token) = cancel {
@@ -451,7 +421,7 @@ where
             }
             let (node, sid) = self.frontier[i];
             i += 1;
-            let memo_slot = self.memo_get(sid, time);
+            let memo_slot = self.memo_get(sid);
             if memo_slot != EXPANSION_NONE {
                 let (start, count, first_template) = self.expansions[memo_slot as usize];
                 self.node_count += count as usize;
@@ -481,43 +451,31 @@ where
     fn promote_level(&mut self) {
         self.frontier.clear();
         std::mem::swap(&mut self.frontier, &mut self.next);
+        self.end_level();
     }
 
     /// Rolls the engine back to the state it held before the failed (or
     /// commit-rejected) [`ExpansionCore::expand_level`]: discards the
     /// half-built next level (the expanded frontier is still in place —
-    /// it only retires at [`ExpansionCore::promote_level`]), unwinds the
-    /// memo via the per-level undo log, truncates the expansion arenas
-    /// (inserts and pushes are 1:1), and restores the node count. Dense
-    /// memo rows keep their grown capacity; only the slots are cleared.
+    /// it only retires at [`ExpansionCore::promote_level`]), drops the
+    /// level's memo, and restores the node count.
     fn rollback_level(&mut self, node_count: usize) {
         self.next.clear();
         self.node_count = node_count;
-        let kept = self.expansions.len() - self.memo_added.len();
-        self.expansions.truncate(kept);
-        // A failed expansion may have pushed successors without a memo
-        // entry; keep exactly those of the kept expansions.
-        let end = self
-            .expansions
-            .last()
-            .map_or(0, |&(start, count, _)| start + count);
-        self.successors.truncate(end as usize);
-        for &(sid, time) in &self.memo_added {
-            let dense = self
-                .expansion_rows
-                .get_mut(time as usize)
-                .and_then(|row| row.get_mut(sid.index()));
-            match dense {
-                Some(slot) if *slot != EXPANSION_NONE => *slot = EXPANSION_NONE,
-                _ => {
-                    self.expansion_spill.remove(&(sid, time));
-                }
-            }
-        }
-        self.memo_added.clear();
+        self.end_level();
     }
 
-    /// Computes a fresh expansion of `(sid, time)`, emits its children
+    /// Empties the memo of the level that just ended; the row and the
+    /// arenas keep their capacity for the next level.
+    fn end_level(&mut self) {
+        for sid in self.memo_added.drain(..) {
+            self.memo[sid.index()] = EXPANSION_NONE;
+        }
+        self.expansions.clear();
+        self.successors.clear();
+    }
+
+    /// Computes a fresh expansion of `sid` at `time`, emits its children
     /// under `node`, and memoizes the successor list.
     fn expand(
         &mut self,
@@ -677,21 +635,21 @@ where
             self.successors.push((succ_id, live));
         }
         let slot = self.expansions.len() as u32;
-        self.memo_insert(sid, time, slot);
+        self.memo_insert(sid, slot);
         self.expansions.push((start, count, first_child));
         Ok(())
     }
 }
 
 /// A retained unfolding session supporting **incremental horizon
-/// extension**: the model, the `(state, time)` expansion memo, the
-/// scratch buffers, the [`StatePool`](pak_core::intern::StatePool), the
-/// per-agent local pools, and the leaf frontier all stay alive across
-/// calls, so growing a tree from horizon `h` to `h + 1`
-/// ([`Unfolder::extend_horizon`]) expands only the previous leaf frontier
-/// and incrementally repairs the derived run/cell indexes through a
-/// [`PpsExtender`]. [`Unfolder::new`] builds its first tree by the same
-/// level step, so [`unfold_with`] is `Unfolder::new(..)?.into_pps()`.
+/// extension**: the model, the scratch buffers, the
+/// [`StatePool`](pak_core::intern::StatePool), the per-agent local pools,
+/// and the leaf frontier all stay alive across calls, so growing a tree
+/// from horizon `h` to `h + 1` ([`Unfolder::extend_horizon`]) expands
+/// only the previous leaf frontier and incrementally repairs the derived
+/// run/cell indexes through a [`PpsExtender`]. [`Unfolder::new`] builds
+/// its first tree by the same level step, so [`unfold_with`] is
+/// `Unfolder::new(..)?.into_pps()`.
 ///
 /// A tree grown to horizon `h` is therefore the tree of a capped unfold
 /// (`UnfoldConfig { horizon: Some(h), .. }`), and the differential
@@ -812,7 +770,7 @@ where
     }
 
     /// Grows the tree by one level: expands the retained leaf frontier
-    /// (reusing the live `(state, time)` expansion memo), appends the new
+    /// (memoizing each state's expansion within the level), appends the new
     /// nodes, and incrementally repairs the run and cell indexes. Returns
     /// `Ok(true)` if a level was added, `Ok(false)` if every path had
     /// already terminated (the tree is complete; calling again stays
@@ -828,7 +786,7 @@ where
     /// [`UnfoldError::BadModelDistribution`], or [`UnfoldError::Pps`],
     /// exactly as the equivalent from-scratch unfold would report them.
     /// On error the half-built level is rolled back — nodes, pool
-    /// entries, memo inserts, frontier — and the handle remains usable at
+    /// entries, the level's memo, frontier — and the handle remains usable at
     /// its previous horizon.
     pub fn extend_horizon(&mut self) -> Result<bool, UnfoldError> {
         self.extend_inner(None)
